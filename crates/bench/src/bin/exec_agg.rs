@@ -33,9 +33,9 @@
 
 use std::time::Instant;
 
-use volcano_bench::{parse_json, Json};
+use volcano_bench::{parse_json, run_plan, Json};
 use volcano_core::SearchOptions;
-use volcano_exec::{BatchConfig, Database};
+use volcano_exec::{BatchConfig, Database, Engine};
 use volcano_rel::value::Tuple;
 use volcano_rel::{
     Catalog, ColumnDef, RelAlg, RelModel, RelModelOptions, RelOptimizer, RelPlan, RelProps,
@@ -220,15 +220,15 @@ fn run_workload(w: &Workload, args: &Args, cfg: BatchConfig) -> WorkloadResult {
 
     // Correctness first: integer columns make even SUM/AVG exact, so
     // the serial and two-phase multisets must match bit for bit.
-    let expected = sorted_copy(&db.execute(&serial_plan));
-    for (tag, rows) in [
-        ("serial batch", db.execute_batch(&serial_plan, cfg)),
-        ("parallel batch", db.execute_batch(&parallel_plan, cfg)),
-        ("parallel fused", db.execute_fused(&parallel_plan, cfg)),
+    let expected = sorted_copy(&run_plan(&db, &serial_plan, Engine::Tuple));
+    for (tag, plan, engine) in [
+        ("serial batch", &serial_plan, Engine::Batch(cfg)),
+        ("parallel batch", &parallel_plan, Engine::Batch(cfg)),
+        ("parallel fused", &parallel_plan, Engine::Fused(cfg)),
     ] {
         assert_eq!(
             expected,
-            sorted_copy(&rows),
+            sorted_copy(&run_plan(&db, plan, engine)),
             "{}: {tag} diverges from the serial tuple result",
             w.name
         );
@@ -239,13 +239,13 @@ fn run_workload(w: &Workload, args: &Args, cfg: BatchConfig) -> WorkloadResult {
     let mut parallel_best = f64::INFINITY;
     for _ in 0..args.reps.max(1) {
         let t = Instant::now();
-        std::hint::black_box(db.execute(&serial_plan));
+        std::hint::black_box(run_plan(&db, &serial_plan, Engine::Tuple));
         tuple_best = tuple_best.min(t.elapsed().as_secs_f64());
         let t = Instant::now();
-        std::hint::black_box(db.execute_batch(&serial_plan, cfg));
+        std::hint::black_box(run_plan(&db, &serial_plan, Engine::Batch(cfg)));
         batch_best = batch_best.min(t.elapsed().as_secs_f64());
         let t = Instant::now();
-        std::hint::black_box(db.execute_batch(&parallel_plan, cfg));
+        std::hint::black_box(run_plan(&db, &parallel_plan, Engine::Batch(cfg)));
         parallel_best = parallel_best.min(t.elapsed().as_secs_f64());
     }
     let tuple_ms = tuple_best * 1e3;

@@ -1,8 +1,8 @@
 //! Tuple-vs-batch executor benchmark.
 //!
 //! Runs the same optimized physical plans through the tuple-at-a-time
-//! engine (`Database::execute`) and the vectorized batch engine
-//! (`Database::execute_batch`) and reports per-workload wall time and
+//! engine (`Engine::Tuple`) and the vectorized batch engine
+//! (`Engine::Batch`), both through `Database::run`, and reports per-workload wall time and
 //! speedup. Workloads fall in two classes:
 //!
 //! * **headline** — scan→filter→project pipelines and hash joins, the
@@ -29,9 +29,9 @@
 
 use std::time::Instant;
 
-use volcano_bench::{parse_json, Json};
+use volcano_bench::{parse_json, run_plan, Json};
 use volcano_core::SearchOptions;
-use volcano_exec::{BatchConfig, Database};
+use volcano_exec::{BatchConfig, Database, Engine};
 use volcano_rel::value::Tuple;
 use volcano_rel::{Catalog, ColumnDef, RelModel, RelOptimizer, RelPlan, RelProps};
 use volcano_sql::plan_query;
@@ -222,8 +222,8 @@ fn run_workload(w: &Workload, reps: usize, cfg: BatchConfig) -> WorkloadResult {
     db.generate(42);
 
     // Correctness first: a speedup over a wrong answer is worthless.
-    let tuple_rows = db.execute(&plan);
-    let batch_rows = db.execute_batch(&plan, cfg);
+    let tuple_rows = run_plan(&db, &plan, Engine::Tuple);
+    let batch_rows = run_plan(&db, &plan, Engine::Batch(cfg));
     assert_eq!(
         sorted_copy(&tuple_rows),
         sorted_copy(&batch_rows),
@@ -237,10 +237,10 @@ fn run_workload(w: &Workload, reps: usize, cfg: BatchConfig) -> WorkloadResult {
     let mut batch_best = f64::INFINITY;
     for _ in 0..reps.max(1) {
         let t = Instant::now();
-        std::hint::black_box(db.execute(&plan));
+        std::hint::black_box(run_plan(&db, &plan, Engine::Tuple));
         tuple_best = tuple_best.min(t.elapsed().as_secs_f64());
         let t = Instant::now();
-        std::hint::black_box(db.execute_batch(&plan, cfg));
+        std::hint::black_box(run_plan(&db, &plan, Engine::Batch(cfg)));
         batch_best = batch_best.min(t.elapsed().as_secs_f64());
     }
     let tuple_ms = tuple_best * 1e3;

@@ -1,8 +1,8 @@
 //! Batch-vs-fused executor benchmark.
 //!
 //! Runs the same optimized physical plans through the vectorized batch
-//! engine (`Database::execute_batch`) and the pipeline-fused engine
-//! (`Database::execute_fused`) and reports per-workload wall time and
+//! engine (`compile_batch`) and the pipeline-fused engine
+//! (`compile_fused`) and reports per-workload wall time and
 //! speedup. The workloads are the batch benchmark's headline shapes —
 //! scan→filter→project pipelines and hash joins — because those are
 //! exactly the segments the fused compiler turns into single compiled
@@ -41,8 +41,11 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use volcano_bench::run_plan;
 use volcano_core::SearchOptions;
-use volcano_exec::{compile_batch, compile_fused, Batch, BatchConfig, BatchOperator, Database};
+use volcano_exec::{
+    compile_batch, compile_fused, Batch, BatchConfig, BatchOperator, Database, Engine,
+};
 use volcano_rel::value::Tuple;
 use volcano_rel::{Catalog, ColumnDef, RelModel, RelOptimizer, RelPlan, RelProps};
 use volcano_sql::plan_query;
@@ -249,9 +252,9 @@ fn run_workload(w: &Workload, args: &Args, cfg: BatchConfig) -> WorkloadResult {
     db.generate(42);
 
     // Correctness first: all three engines must agree before any timing.
-    let tuple_rows = db.execute(&plan);
-    let batch_rows = db.execute_batch(&plan, cfg);
-    let fused_rows = db.execute_fused(&plan, cfg);
+    let tuple_rows = run_plan(&db, &plan, Engine::Tuple);
+    let batch_rows = run_plan(&db, &plan, Engine::Batch(cfg));
+    let fused_rows = run_plan(&db, &plan, Engine::Fused(cfg));
     assert_eq!(
         sorted_copy(&tuple_rows),
         sorted_copy(&batch_rows),

@@ -31,8 +31,9 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use volcano_bench::run_plan;
 use volcano_core::SearchOptions;
-use volcano_exec::{BatchConfig, Database};
+use volcano_exec::{BatchConfig, Database, Engine};
 use volcano_rel::value::Tuple;
 use volcano_rel::{
     Catalog, ColumnDef, RelAlg, RelModel, RelModelOptions, RelOptimizer, RelPlan, RelProps,
@@ -213,7 +214,7 @@ fn run_workload(w: &Workload, args: &Args) -> WorkloadResult {
         let mut best = f64::INFINITY;
         for _ in 0..args.reps.max(1) {
             let t = Instant::now();
-            std::hint::black_box(db.execute_batch(plan, BatchConfig::default()));
+            std::hint::black_box(run_plan(&db, plan, Engine::Batch(BatchConfig::default())));
             best = best.min(t.elapsed().as_secs_f64());
         }
         best * 1e3
@@ -225,7 +226,8 @@ fn run_workload(w: &Workload, args: &Args) -> WorkloadResult {
         "{}: degree 1 produced a gather plan",
         w.name
     );
-    let expected = sorted_copy(&db.execute_batch(&serial_plan, BatchConfig::default()));
+    let batch = Engine::Batch(BatchConfig::default());
+    let expected = sorted_copy(&run_plan(&db, &serial_plan, batch));
     let serial_ms = timed(&serial_plan);
 
     let mut points = Vec::new();
@@ -242,7 +244,7 @@ fn run_workload(w: &Workload, args: &Args) -> WorkloadResult {
             );
             // Correctness first: a speedup over a wrong answer is
             // worthless.
-            let rows = sorted_copy(&db.execute_batch(&plan, BatchConfig::default()));
+            let rows = sorted_copy(&run_plan(&db, &plan, batch));
             assert_eq!(
                 rows, expected,
                 "{}: parallel result diverges at degree {degree}",

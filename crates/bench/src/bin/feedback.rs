@@ -30,7 +30,7 @@
 
 use std::time::Instant;
 
-use volcano_exec::{BatchConfig, Database, Engine, ExecOptions};
+use volcano_exec::{BatchConfig, Database, Engine, ExecOptions, Query};
 use volcano_rel::value::Tuple;
 use volcano_rel::{explain_plan, Catalog, Cmp, CmpOp, ColumnDef, Observation, RelPlan, Value};
 
@@ -176,9 +176,8 @@ fn oracle_explain(rows: usize, engine: Engine, true_sel: f64) -> String {
     }]);
     let stmt = db.prepare(SQL).expect("oracle prepare");
     let out = db
-        .execute_prepared_opts(
-            &stmt,
-            &[Value::Int(0)],
+        .run(
+            Query::Prepared(&stmt, &[Value::Int(0)]),
             &ExecOptions::new().with_executor(engine),
             None,
         )
@@ -210,7 +209,7 @@ fn run_engine(rows: usize, reps: usize, engine: Engine) -> EngineResult {
     // moves, so every repetition runs the misestimated plan.
     let stmt = db.prepare(SQL).expect("prepare");
     let wrong_out = db
-        .execute_prepared_opts(&stmt, &params, &opts, None)
+        .run(Query::Prepared(&stmt, &params), &opts, None)
         .expect("wrong-plan execution");
     let wrong_explain = explain(&db, &wrong_out.plan);
     assert_ne!(
@@ -229,7 +228,7 @@ fn run_engine(rows: usize, reps: usize, engine: Engine) -> EngineResult {
     let t = Instant::now();
     for _ in 0..reps {
         std::hint::black_box(
-            db.execute_prepared_opts(&stmt, &params, &opts, None)
+            db.run(Query::Prepared(&stmt, &params), &opts, None)
                 .expect("wrong-plan rep"),
         );
     }
@@ -243,7 +242,7 @@ fn run_engine(rows: usize, reps: usize, engine: Engine) -> EngineResult {
     loop {
         executions += 1;
         let out = db
-            .execute_prepared_opts(&stmt, &params, &opts, None)
+            .run(Query::Prepared(&stmt, &params), &opts, None)
             .expect("convergence execution");
         assert_eq!(
             sorted_copy(&out.rows),
@@ -266,7 +265,7 @@ fn run_engine(rows: usize, reps: usize, engine: Engine) -> EngineResult {
     let t = Instant::now();
     for _ in 0..reps {
         std::hint::black_box(
-            db.execute_prepared_opts(&stmt, &params, &opts, None)
+            db.run(Query::Prepared(&stmt, &params), &opts, None)
                 .expect("converged rep"),
         );
     }

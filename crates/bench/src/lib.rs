@@ -20,3 +20,14 @@ pub mod workload;
 pub use jsonv::{parse_json, Json, JsonError};
 pub use runner::{run_exodus, run_volcano, ExodusMeasurement, VolcanoMeasurement};
 pub use workload::{generate_query, GeneratedQuery, WorkloadConfig};
+
+use volcano_exec::{Database, Engine, ExecOptions};
+use volcano_rel::value::Tuple;
+use volcano_rel::RelPlan;
+
+/// Run `plan` on `engine` through `Database::run` and return its rows.
+pub fn run_plan(db: &Database, plan: &RelPlan, engine: Engine) -> Vec<Tuple> {
+    db.run(plan, &ExecOptions::new().with_executor(engine), None)
+        .expect("a plan query cannot fail")
+        .rows
+}

@@ -2,7 +2,9 @@
 //! instrumentation — row counts, open/next invocation counts and
 //! wall-clock time — and report the actuals next to the optimizer's
 //! estimated cardinalities and costs, a direct check of the
-//! selectivity and cost models.
+//! selectivity and cost models. An analyzed run is a
+//! [`crate::Database::run`] with [`crate::ExecOptions::analyze`] set; the
+//! feedback loop harvests from the same instrumented runs.
 
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -10,11 +12,12 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use volcano_rel::value::Tuple;
-use volcano_rel::{Catalog, RelPlan};
+use volcano_rel::{Catalog, Observation, RelPlan};
 
 use crate::batch::{collect_batches, Batch, BatchOperator, BoxedBatchOperator};
-use crate::compile::{compile_batch_node, compile_node_at, BatchConfig, Built};
-use crate::database::Database;
+use crate::compile::{compile_batch_node, compile_node_at, schema_of_at, BatchConfig, Built};
+use crate::database::{Database, SchemaSnapshot};
+use crate::fused::FusedReport;
 use crate::iterator::{collect, BoxedOperator, Operator};
 
 /// Shared measurement cell for one plan node.
@@ -25,6 +28,17 @@ struct Cell {
     next_calls: AtomicU64,
     elapsed_ns: AtomicU64,
     extra: Mutex<Vec<(&'static str, u64)>>,
+}
+
+impl Cell {
+    /// Run `f`, adding its wall-clock to the node's inclusive time.
+    fn time<R>(&self, f: impl FnOnce() -> R) -> R {
+        let start = Instant::now();
+        let r = f();
+        let ns = start.elapsed().as_nanos() as u64;
+        self.elapsed_ns.fetch_add(ns, Ordering::Relaxed);
+        r
+    }
 }
 
 /// Pass-through operator measuring the operator beneath it: rows
@@ -38,33 +52,21 @@ struct Instrumented {
 
 impl Operator for Instrumented {
     fn open(&mut self) {
-        let start = Instant::now();
-        self.child.open();
+        self.cell.time(|| self.child.open());
         self.cell.opens.fetch_add(1, Ordering::Relaxed);
-        self.cell
-            .elapsed_ns
-            .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
     }
 
     fn next(&mut self) -> Option<Tuple> {
-        let start = Instant::now();
-        let t = self.child.next();
+        let t = self.cell.time(|| self.child.next());
         self.cell.next_calls.fetch_add(1, Ordering::Relaxed);
         if t.is_some() {
             self.cell.rows.fetch_add(1, Ordering::Relaxed);
         }
-        self.cell
-            .elapsed_ns
-            .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
         t
     }
 
     fn close(&mut self) {
-        let start = Instant::now();
-        self.child.close();
-        self.cell
-            .elapsed_ns
-            .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        self.cell.time(|| self.child.close());
         // The operator tree is torn down after execution; capture the
         // operator's counters while they are still reachable. Operators
         // that are closed more than once just overwrite with the latest
@@ -96,38 +98,25 @@ struct InstrumentedBatch {
 
 impl BatchOperator for InstrumentedBatch {
     fn open(&mut self) {
-        let start = Instant::now();
-        self.child.open();
+        self.cell.time(|| self.child.open());
         self.cell.opens.fetch_add(1, Ordering::Relaxed);
-        self.cell
-            .elapsed_ns
-            .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
     }
 
     fn next_batch(&mut self, out: &mut Batch) -> bool {
-        let start = Instant::now();
-        let more = self.child.next_batch(out);
+        let more = self.cell.time(|| self.child.next_batch(out));
         self.cell.next_calls.fetch_add(1, Ordering::Relaxed);
         if more {
+            let live = out.live_rows() as u64;
             self.batches += 1;
-            self.live_rows += out.live_rows() as u64;
+            self.live_rows += live;
             self.physical_rows += out.physical_rows() as u64;
-            self.cell
-                .rows
-                .fetch_add(out.live_rows() as u64, Ordering::Relaxed);
+            self.cell.rows.fetch_add(live, Ordering::Relaxed);
         }
-        self.cell
-            .elapsed_ns
-            .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
         more
     }
 
     fn close(&mut self) {
-        let start = Instant::now();
-        self.child.close();
-        self.cell
-            .elapsed_ns
-            .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        self.cell.time(|| self.child.close());
         let mut extra = vec![("batches", self.batches)];
         if let Some(avg) = self.live_rows.checked_div(self.batches) {
             extra.push(("avg_batch_rows", avg));
@@ -173,12 +162,16 @@ pub struct NodeMeasurement {
     pub extra: Vec<(&'static str, u64)>,
 }
 
-/// The result of an analyzed execution.
-pub struct Analyzed {
-    /// The query result.
-    pub rows: Vec<Tuple>,
-    /// Per-operator measurements, in plan pre-order.
-    pub nodes: Vec<NodeMeasurement>,
+/// Measurements of one analyzed run (see [`crate::ExecOptions::analyze`]).
+#[derive(Debug)]
+pub enum Analysis {
+    /// Per-operator measurements in plan pre-order (tuple and batch
+    /// engines).
+    Operators(Vec<NodeMeasurement>),
+    /// The fused engine's report, its per-pipeline counters populated.
+    /// A fused region is a single compiled loop with no per-plan-node
+    /// seams to instrument, so the fused analysis is per pipeline.
+    Fused(FusedReport),
 }
 
 fn fmt_dur(d: Duration) -> String {
@@ -215,36 +208,50 @@ fn finite(x: f64) -> f64 {
     }
 }
 
-impl Analyzed {
-    /// Per-node actual output row counts in plan pre-order — the exact
-    /// vector `volcano_rel::feedback::observations` consumes (the
-    /// harvest walk and the instrumentation share the same pre-order).
-    pub fn actual_rows(&self) -> Vec<u64> {
-        self.nodes.iter().map(|n| n.actual_rows).collect()
-    }
-
-    /// Inclusive-minus-children ("self") time for each node, derived
-    /// from the pre-order depth vector.
-    fn self_times(&self) -> Vec<Duration> {
-        let mut out: Vec<Duration> = self.nodes.iter().map(|n| n.elapsed).collect();
-        for (i, n) in self.nodes.iter().enumerate() {
-            let mut j = i + 1;
-            while j < self.nodes.len() && self.nodes[j].depth > n.depth {
-                if self.nodes[j].depth == n.depth + 1 {
-                    out[i] = out[i].saturating_sub(self.nodes[j].elapsed);
-                }
-                j += 1;
+/// Inclusive-minus-children ("self") time for each node, derived from
+/// the pre-order depth vector.
+fn self_times(nodes: &[NodeMeasurement]) -> Vec<Duration> {
+    let mut out: Vec<Duration> = nodes.iter().map(|n| n.elapsed).collect();
+    for (i, n) in nodes.iter().enumerate() {
+        let mut j = i + 1;
+        while j < nodes.len() && nodes[j].depth > n.depth {
+            if nodes[j].depth == n.depth + 1 {
+                out[i] = out[i].saturating_sub(nodes[j].elapsed);
             }
+            j += 1;
         }
-        out
+    }
+    out
+}
+
+impl Analysis {
+    /// Selectivity observations for the feedback loop: per-operator
+    /// actual rows attributed to `plan`'s predicate terms and join
+    /// pairs, or the fused report's per-pipeline harvest.
+    pub(crate) fn observations(&self, catalog: &Catalog, plan: &RelPlan) -> Vec<Observation> {
+        match self {
+            Analysis::Operators(nodes) => {
+                // The harvest walk and the instrumentation share the
+                // same pre-order.
+                let actual: Vec<u64> = nodes.iter().map(|n| n.actual_rows).collect();
+                volcano_rel::observations(catalog, plan, &actual)
+            }
+            Analysis::Fused(report) => report.observations(),
+        }
     }
 
     /// Render an `EXPLAIN ANALYZE`-style report: one line per operator,
-    /// estimated cost and rows next to actual rows and timings.
+    /// estimated cost and rows next to actual rows and timings (or one
+    /// line per fused pipeline).
     pub fn report(&self) -> String {
-        let selfs = self.self_times();
+        let nodes = match self {
+            Analysis::Operators(nodes) => nodes,
+            Analysis::Fused(report) => {
+                return report.lines().into_iter().map(|l| l + "\n").collect();
+            }
+        };
         let mut out = String::new();
-        for (n, self_time) in self.nodes.iter().zip(selfs) {
+        for (n, self_time) in nodes.iter().zip(self_times(nodes)) {
             let _ = write!(
                 out,
                 "{:indent$}{}  (cost={:.2} est {:.0} rows) (actual {} rows, {} nexts, {} total, {} self)",
@@ -271,133 +278,97 @@ impl Analyzed {
         out
     }
 
-    /// Machine-readable export: the per-operator measurements as a JSON
-    /// object (`{"result_rows": N, "nodes": [...]}`), nodes in plan
-    /// pre-order.
-    pub fn to_json(&self) -> String {
+    /// Machine-readable export as one JSON object:
+    /// `{"result_rows": N, "nodes": [...]}` with nodes in plan pre-order,
+    /// or `{"result_rows": N, "fused": {...}}` for the fused report.
+    pub fn to_json(&self, result_rows: usize) -> String {
         let mut out = String::new();
-        let _ = write!(out, "{{\"result_rows\":{},\"nodes\":[", self.rows.len());
-        for (i, n) in self.nodes.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"operator\":\"{}\",\"description\":\"{}\",\"depth\":{},\
-                 \"est_rows\":{},\"est_cost\":{},\"actual_rows\":{},\
-                 \"opens\":{},\"next_calls\":{},\"elapsed_us\":{}",
-                json_escape(n.operator),
-                json_escape(&n.description),
-                n.depth,
-                finite(n.est_rows),
-                finite(n.est_cost),
-                n.actual_rows,
-                n.opens,
-                n.next_calls,
-                n.elapsed.as_micros()
-            );
-            let _ = write!(out, ",\"metrics\":{{");
-            for (j, (k, v)) in n.extra.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "\"{}\":{}", json_escape(k), v);
-            }
-            let _ = write!(out, "}}}}");
+        let _ = write!(out, "{{\"result_rows\":{result_rows},");
+        match self {
+            Analysis::Operators(nodes) => write_nodes_json(&mut out, nodes),
+            Analysis::Fused(report) => write_fused_json(&mut out, report),
         }
-        out.push_str("]}");
+        out.push('}');
         out
     }
 }
 
-/// Build the instrumented operator tree; measurements are recorded in
-/// pre-order (parent before children).
+fn write_nodes_json(out: &mut String, nodes: &[NodeMeasurement]) {
+    out.push_str("\"nodes\":[");
+    for (i, n) in nodes.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        let _ = write!(
+            out,
+            "{{\"operator\":\"{}\",\"description\":\"{}\",\"depth\":{},\
+             \"est_rows\":{},\"est_cost\":{},\"actual_rows\":{},\
+             \"opens\":{},\"next_calls\":{},\"elapsed_us\":{}",
+            json_escape(n.operator),
+            json_escape(&n.description),
+            n.depth,
+            finite(n.est_rows),
+            finite(n.est_cost),
+            n.actual_rows,
+            n.opens,
+            n.next_calls,
+            n.elapsed.as_micros()
+        );
+        let _ = write!(out, ",\"metrics\":{{");
+        for (j, (k, v)) in n.extra.iter().enumerate() {
+            if j > 0 {
+                out.push(',');
+            }
+            let _ = write!(out, "\"{}\":{}", json_escape(k), v);
+        }
+        let _ = write!(out, "}}}}");
+    }
+    out.push(']');
+}
+
+fn write_fused_json(out: &mut String, report: &FusedReport) {
+    let fallback: Vec<String> = report
+        .fallback_ops
+        .iter()
+        .map(|op| format!("\"{}\"", json_escape(op)))
+        .collect();
+    let pipelines: Vec<String> = report
+        .pipelines
+        .iter()
+        .map(|p| {
+            let (rows, batches, ns) = (p.stats.rows(), p.stats.batches(), p.stats.ns());
+            let label = json_escape(&p.label);
+            format!(
+                "{{\"label\":\"{label}\",\"operators\":{},\"build\":{},\"rows\":{rows},\
+                 \"batches\":{batches},\"ns\":{ns}}}",
+                p.operators, p.build
+            )
+        })
+        .collect();
+    let _ = write!(
+        out,
+        "\"fused\":{{\"adapters\":{},\"parallel_regions\":{},\"agg_sinks\":{},\
+         \"fallback_ops\":[{}],\"pipelines\":[{}]}}",
+        report.adapters,
+        report.parallel_regions,
+        report.agg_sinks,
+        fallback.join(","),
+        pipelines.join(",")
+    );
+}
+
+/// Build the instrumented tree, measurements recorded in pre-order
+/// (parent before children). Each plan node is wrapped in the
+/// instrumentation matching its engine; the adapters the batch lowering
+/// inserts at engine boundaries are not plan nodes, so their cost lands
+/// in the parent's self time.
 fn instrument(
     db: &Database,
-    sch: &crate::database::SchemaSnapshot,
+    sch: &SchemaSnapshot,
     catalog: &Catalog,
     plan: &RelPlan,
     depth: usize,
-    counters: &mut Vec<(NodeMeasurement, Arc<Cell>)>,
-) -> BoxedOperator {
-    let cell = Arc::new(Cell::default());
-    let slot = counters.len();
-    counters.push((
-        NodeMeasurement {
-            description: volcano_rel::explain::alg_description(catalog, &plan.alg),
-            operator: "",
-            depth,
-            est_rows: volcano_rel::estimate::estimated_rows(catalog, plan),
-            est_cost: plan.cost.total(),
-            actual_rows: 0,
-            opens: 0,
-            next_calls: 0,
-            elapsed: Duration::ZERO,
-            extra: Vec::new(),
-        },
-        cell.clone(),
-    ));
-    let children: Vec<BoxedOperator> = plan
-        .inputs
-        .iter()
-        .map(|c| instrument(db, sch, catalog, c, depth + 1, counters))
-        .collect();
-    let op = compile_node_at(db, sch, plan, children);
-    counters[slot].0.operator = op.name();
-    Box::new(Instrumented { child: op, cell })
-}
-
-fn drain_counters(counters: Vec<(NodeMeasurement, Arc<Cell>)>) -> Vec<NodeMeasurement> {
-    counters
-        .into_iter()
-        .map(|(mut m, cell)| {
-            m.actual_rows = cell.rows.load(Ordering::Relaxed);
-            m.opens = cell.opens.load(Ordering::Relaxed);
-            m.next_calls = cell.next_calls.load(Ordering::Relaxed);
-            m.elapsed = Duration::from_nanos(cell.elapsed_ns.load(Ordering::Relaxed));
-            m.extra = std::mem::take(&mut cell.extra.lock().unwrap());
-            m
-        })
-        .collect()
-}
-
-/// Execute a plan with per-operator instrumentation.
-pub fn execute_analyzed(db: &Database, catalog: &Catalog, plan: &RelPlan) -> Analyzed {
-    let sch = db.snapshot();
-    execute_analyzed_at(db, &sch, catalog, plan)
-}
-
-/// [`execute_analyzed`] against a caller-pinned schema snapshot — the
-/// feedback path instruments the same snapshot the prepared execution
-/// lowered on, so concurrent DDL cannot change the plan's tables
-/// between planning and measurement.
-pub fn execute_analyzed_at(
-    db: &Database,
-    sch: &crate::database::SchemaSnapshot,
-    catalog: &Catalog,
-    plan: &RelPlan,
-) -> Analyzed {
-    let mut counters = Vec::new();
-    let mut op = instrument(db, sch, catalog, plan, 0, &mut counters);
-    let rows = collect(op.as_mut());
-    Analyzed {
-        rows,
-        nodes: drain_counters(counters),
-    }
-}
-
-/// Build the instrumented batch tree, mirroring [`instrument`] over the
-/// batch lowering. Each plan node is wrapped in the instrumentation
-/// matching its engine (batch or tuple); the adapters the lowering
-/// inserts at engine boundaries are not themselves plan nodes, so their
-/// cost lands in the parent's self time.
-fn instrument_batch(
-    db: &Database,
-    sch: &crate::database::SchemaSnapshot,
-    catalog: &Catalog,
-    plan: &RelPlan,
-    depth: usize,
-    cfg: BatchConfig,
+    cfg: Option<BatchConfig>,
     counters: &mut Vec<(NodeMeasurement, Arc<Cell>)>,
 ) -> Built {
     let cell = Arc::new(Cell::default());
@@ -420,9 +391,16 @@ fn instrument_batch(
     let children: Vec<Built> = plan
         .inputs
         .iter()
-        .map(|c| instrument_batch(db, sch, catalog, c, depth + 1, cfg, counters))
+        .map(|c| instrument(db, sch, catalog, c, depth + 1, cfg, counters))
         .collect();
-    match compile_batch_node(db, sch, plan, children, cfg) {
+    let built = match cfg {
+        Some(cfg) => compile_batch_node(db, sch, plan, children, cfg),
+        None => {
+            let children = children.into_iter().map(Built::into_tuple).collect();
+            Built::T(compile_node_at(db, sch, plan, children))
+        }
+    };
+    match built {
         Built::B(op) => {
             counters[slot].0.operator = op.name();
             Built::B(Box::new(InstrumentedBatch {
@@ -440,75 +418,55 @@ fn instrument_batch(
     }
 }
 
-/// Execute a plan on the batch engine with per-operator
-/// instrumentation. Node measurements carry batch-shape metrics
-/// (batches, average rows per batch, selection-vector density) and
-/// per-kernel timings alongside the estimated-vs-actual columns.
-pub fn execute_analyzed_batch(
+/// Run `plan` under per-operator instrumentation on the tuple engine
+/// (`cfg` = `None`) or the batch engine; `catalog`, the one the plan was
+/// lowered with, names the operators and supplies the estimates. Gathers
+/// run serially ([`compile_batch_node`]): a parallel pipeline has no
+/// per-node seams to measure.
+pub(crate) fn run_instrumented(
     db: &Database,
+    sch: &SchemaSnapshot,
     catalog: &Catalog,
     plan: &RelPlan,
-    cfg: BatchConfig,
-) -> Analyzed {
-    let sch = db.snapshot();
-    execute_analyzed_batch_at(db, &sch, catalog, plan, cfg)
-}
-
-/// [`execute_analyzed_batch`] against a caller-pinned schema snapshot
-/// (see [`execute_analyzed_at`]).
-pub fn execute_analyzed_batch_at(
-    db: &Database,
-    sch: &crate::database::SchemaSnapshot,
-    catalog: &Catalog,
-    plan: &RelPlan,
-    cfg: BatchConfig,
-) -> Analyzed {
+    cfg: Option<BatchConfig>,
+) -> (Vec<Tuple>, Analysis) {
     let mut counters = Vec::new();
-    let schema_len = crate::compile::schema_of_at(sch, plan).len();
-    let mut op = instrument_batch(db, sch, catalog, plan, 0, cfg, &mut counters)
-        .into_batch(schema_len, cfg.batch_size);
-    let rows = collect_batches(op.as_mut());
-    Analyzed {
-        rows,
-        nodes: drain_counters(counters),
-    }
-}
-
-/// `EXPLAIN ANALYZE` output for the pipeline-fused engine: the result
-/// rows plus the fused compilation/execution report (pipelines fused,
-/// operators per pipeline, fallback segments, adapters, per-pipeline
-/// row/batch/time counters).
-#[derive(Debug)]
-pub struct AnalyzedFused {
-    /// Result rows.
-    pub rows: Vec<Tuple>,
-    /// The fused report, its per-pipeline counters now populated.
-    pub report: crate::fused::FusedReport,
-}
-
-/// Execute a plan on the pipeline-fused engine and report fused-pipeline
-/// metrics. A fused region is a single compiled loop — there are no
-/// per-plan-node seams to instrument — so the analysis is per *pipeline*
-/// (rows, batches, wall time), not per operator. Gather regions run
-/// serially, mirroring [`execute_analyzed_batch`], so pipeline counters
-/// cover the whole input rather than one worker's share.
-pub fn execute_analyzed_fused(db: &Database, plan: &RelPlan, cfg: BatchConfig) -> AnalyzedFused {
-    let sch = db.snapshot();
-    let compiled = crate::fused::compile_fused_with(db, &sch, plan, cfg, true);
-    let mut op = compiled.operator;
-    let rows = collect_batches(op.as_mut());
-    AnalyzedFused {
-        rows,
-        report: compiled.report,
-    }
+    let built = instrument(db, sch, catalog, plan, 0, cfg, &mut counters);
+    let rows = match cfg {
+        Some(cfg) => {
+            let arity = schema_of_at(sch, plan).len();
+            collect_batches(built.into_batch(arity, cfg.batch_size).as_mut())
+        }
+        None => collect(built.into_tuple().as_mut()),
+    };
+    let nodes = counters
+        .into_iter()
+        .map(|(mut m, cell)| {
+            m.actual_rows = cell.rows.load(Ordering::Relaxed);
+            m.opens = cell.opens.load(Ordering::Relaxed);
+            m.next_calls = cell.next_calls.load(Ordering::Relaxed);
+            m.elapsed = Duration::from_nanos(cell.elapsed_ns.load(Ordering::Relaxed));
+            m.extra = std::mem::take(&mut cell.extra.lock().unwrap());
+            m
+        })
+        .collect();
+    (rows, Analysis::Operators(nodes))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compile::Engine;
+    use crate::database::{ExecOptions, Outcome, Query};
     use volcano_core::{PhysicalProps, SearchOptions};
     use volcano_rel::builder::{join_on, select_one};
     use volcano_rel::{Cmp, ColumnDef, QueryBuilder, RelModel, RelOptimizer, RelProps};
+
+    fn analyzed(db: &Database, catalog: &Catalog, plan: &RelPlan, engine: Engine) -> Outcome {
+        let opts = ExecOptions::new().with_executor(engine).with_analyze(true);
+        db.run(Query::Plan(plan, Some(catalog)), &opts, None)
+            .unwrap()
+    }
 
     #[test]
     fn analyzed_execution_counts_every_operator() {
@@ -533,14 +491,17 @@ mod tests {
         let root = opt.insert_tree(&expr);
         let plan = opt.find_best_plan(root, RelProps::any(), None).unwrap();
 
-        let analyzed = execute_analyzed(&db, &c, &plan);
+        let analyzed = analyzed(&db, &c, &plan, Engine::Tuple);
+        let Some(Analysis::Operators(nodes)) = &analyzed.analysis else {
+            panic!("expected a per-operator analysis");
+        };
         // One measurement per plan node, root first.
-        assert_eq!(analyzed.nodes.len(), plan.node_count());
-        assert_eq!(analyzed.nodes[0].depth, 0);
+        assert_eq!(nodes.len(), plan.node_count());
+        assert_eq!(nodes[0].depth, 0);
         // The root's actual row count equals the result size.
-        assert_eq!(analyzed.nodes[0].actual_rows as usize, analyzed.rows.len());
+        assert_eq!(nodes[0].actual_rows as usize, analyzed.rows.len());
         // Every node has an operator name, an estimate, and was opened.
-        for n in &analyzed.nodes {
+        for n in nodes {
             assert!(!n.operator.is_empty(), "{n:?}");
             assert!(n.est_rows > 0.0, "{n:?}");
             assert!(n.opens >= 1, "{n:?}");
@@ -549,17 +510,18 @@ mod tests {
             assert!(n.next_calls >= n.actual_rows, "{n:?}");
         }
         // The root's estimated cost equals the winner's total cost.
-        assert!((analyzed.nodes[0].est_cost - plan.cost.total()).abs() < 1e-9);
+        assert!((nodes[0].est_cost - plan.cost.total()).abs() < 1e-9);
         // Some operator surfaced its own counters (a scan always does).
         assert!(
-            analyzed.nodes.iter().any(|n| !n.extra.is_empty()),
+            nodes.iter().any(|n| !n.extra.is_empty()),
             "no operator-specific metrics were captured"
         );
         // Instrumented execution returns the same rows as the plain one.
-        let plain = db.execute(&plan);
-        crate::naive::assert_same_rows(analyzed.rows.clone(), plain);
+        let plain = db.run(&plan, &ExecOptions::new(), None).unwrap();
+        assert!(plain.analysis.is_none(), "plain runs carry no analysis");
+        crate::naive::assert_same_rows(analyzed.rows.clone(), plain.rows);
         // The report shows estimates next to actuals.
-        let report = analyzed.report();
+        let report = analyzed.analysis.as_ref().unwrap().report();
         assert!(report.contains("actual"), "{report}");
         assert!(report.contains("cost="), "{report}");
         assert!(
@@ -581,21 +543,31 @@ mod tests {
         let root = opt.insert_tree(&expr);
         let plan = opt.find_best_plan(root, RelProps::any(), None).unwrap();
 
-        let analyzed = execute_analyzed(&db, &c, &plan);
-        let json = analyzed.to_json();
-        assert!(json.starts_with('{') && json.ends_with('}'), "{json}");
-        assert!(json.contains("\"result_rows\":50"), "{json}");
-        assert!(json.contains("\"operator\":\"file_scan\""), "{json}");
-        assert!(json.contains("\"est_rows\":50"), "{json}");
-        assert!(json.contains("\"metrics\":{"), "{json}");
-        // Balanced braces/brackets (no string values contain either).
-        let opens = json.matches('{').count();
-        let closes = json.matches('}').count();
-        assert_eq!(opens, closes, "{json}");
-        assert_eq!(
-            json.matches('[').count(),
-            json.matches(']').count(),
-            "{json}"
-        );
+        let json = |out: Outcome| out.analysis.unwrap().to_json(out.rows.len());
+        let tuple = json(analyzed(&db, &c, &plan, Engine::Tuple));
+        assert!(tuple.contains("\"operator\":\"file_scan\""), "{tuple}");
+        assert!(tuple.contains("\"est_rows\":50"), "{tuple}");
+        assert!(tuple.contains("\"metrics\":{"), "{tuple}");
+        let fused = json(analyzed(
+            &db,
+            &c,
+            &plan,
+            Engine::Fused(BatchConfig::default()),
+        ));
+        assert!(fused.contains("\"fused\":{"), "{fused}");
+        assert!(fused.contains("\"pipelines\":[{\"label\""), "{fused}");
+        for json in [tuple, fused] {
+            assert!(json.starts_with('{') && json.ends_with('}'), "{json}");
+            assert!(json.contains("\"result_rows\":50"), "{json}");
+            // Balanced braces/brackets (no string values contain either).
+            let opens = json.matches('{').count();
+            let closes = json.matches('}').count();
+            assert_eq!(opens, closes, "{json}");
+            assert_eq!(
+                json.matches('[').count(),
+                json.matches(']').count(),
+                "{json}"
+            );
+        }
     }
 }

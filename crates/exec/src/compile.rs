@@ -64,8 +64,11 @@ pub enum Engine {
     /// column-at-a-time kernels over selection-vectored batches.
     Batch(BatchConfig),
     /// The pipeline-fused engine: maximal fusable plan segments compiled
-    /// into single [`crate::fused::FusedRegion`] operators, batch
-    /// operators for the rest.
+    /// into single [`crate::fused::FusedRegion`] operators. Hash
+    /// aggregates run batch-native ([`crate::ops::BatchHashAggregate`])
+    /// when they do not end a fused pipeline, gathers run on the morsel
+    /// executor, and every other non-fusable node runs on the tuple
+    /// engine's operator behind one adapter.
     Fused(BatchConfig),
 }
 
@@ -85,17 +88,6 @@ impl Engine {
         match self {
             Engine::Tuple => None,
             Engine::Batch(cfg) | Engine::Fused(cfg) => Some(*cfg),
-        }
-    }
-}
-
-impl From<Option<BatchConfig>> for Engine {
-    /// Backward-compatible lift of the pre-fused "engine" signature:
-    /// `None` was the tuple engine, `Some(cfg)` the batch engine.
-    fn from(cfg: Option<BatchConfig>) -> Self {
-        match cfg {
-            Some(cfg) => Engine::Batch(cfg),
-            None => Engine::Tuple,
         }
     }
 }

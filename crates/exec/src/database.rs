@@ -22,8 +22,10 @@ use volcano_sql::{
 use volcano_store::record::{decode_record, encode_record, Field};
 use volcano_store::{BTree, BufferPool, DiskManager, FileDisk, HeapFile, MemDisk, MetaEntry};
 
+use crate::analyze::{run_instrumented, Analysis};
 use crate::batch::collect_batches;
-use crate::compile::{BatchConfig, Engine};
+use crate::compile::{compile_at, compile_batch_at, Engine};
+use crate::fused::compile_fused_with;
 use crate::iterator::collect;
 use crate::plan_cache::{drift_validation, rebind_plan, CacheEntry, CacheOutcome, PlanCache};
 
@@ -146,17 +148,38 @@ impl fmt::Display for PrepareError {
 
 impl std::error::Error for PrepareError {}
 
-/// The result of one prepared execution, with enough evidence to audit
+/// What [`Database::run`] executes.
+#[derive(Debug, Clone, Copy)]
+pub enum Query<'a> {
+    /// An optimized physical plan and the catalog it was lowered with,
+    /// the only one holding attributes the lowering allocated (aggregate
+    /// outputs); analysis and feedback read it. `None` uses the
+    /// database's current catalog.
+    Plan(&'a RelPlan, Option<&'a Catalog>),
+    /// A prepared statement and its `$n` parameter values, planned
+    /// through the plan cache.
+    Prepared(&'a PreparedStatement, &'a [Value]),
+}
+
+impl<'a> From<&'a RelPlan> for Query<'a> {
+    fn from(plan: &'a RelPlan) -> Self {
+        Query::Plan(plan, None)
+    }
+}
+
+/// The result of one [`Database::run`], with enough evidence to audit
 /// the cache's behaviour: whether the plan came from the cache, and the
 /// search statistics when (and only when) an optimization actually ran.
 #[derive(Debug)]
-pub struct PreparedOutcome {
+pub struct Outcome {
     /// Result rows.
     pub rows: Vec<Tuple>,
-    /// `hit`, `miss`, `invalidated`, or `bypass` (cache disabled).
+    /// `hit`, `miss`, `invalidated`, `bypass` (cache disabled), or
+    /// `none` (a [`Query::Plan`]: nothing to look up).
     pub cache: &'static str,
     /// Search statistics of the optimization this execution ran;
-    /// `None` exactly when the plan was served from the cache.
+    /// `None` exactly when no optimization ran (a cache hit or a
+    /// [`Query::Plan`]).
     pub search: Option<SearchStats>,
     /// Estimated cost of the executed plan.
     pub cost: RelCost,
@@ -164,9 +187,12 @@ pub struct PreparedOutcome {
     /// execution's parameters when served from the cache) — the
     /// convergence harness compares plan identity across executions.
     pub plan: RelPlan,
+    /// Per-operator (tuple, batch) or per-pipeline (fused) measurements;
+    /// `Some` exactly when [`ExecOptions::analyze`] was set.
+    pub analysis: Option<Analysis>,
 }
 
-/// Per-execution controls for prepared execution — what a serving-tier
+/// Per-execution controls for [`Database::run`] — what a serving-tier
 /// session varies call by call without touching database-wide state.
 #[derive(Debug, Clone, Default)]
 pub struct ExecOptions {
@@ -187,6 +213,10 @@ pub struct ExecOptions {
     /// into the catalog's memory (a session-level `SET FEEDBACK ON`).
     /// Feedback also applies when the database-wide switch is on.
     pub feedback: bool,
+    /// Run under instrumentation and return the measurements in
+    /// [`Outcome::analysis`] (`EXPLAIN ANALYZE`). Every gather runs
+    /// serially, so the counters cover the whole input.
+    pub analyze: bool,
 }
 
 impl ExecOptions {
@@ -199,14 +229,6 @@ impl ExecOptions {
     /// Skip the plan cache for this execution.
     pub fn with_cache_bypass(mut self, bypass: bool) -> Self {
         self.bypass_cache = bypass;
-        self
-    }
-
-    /// Use the batch engine with `cfg` (`None` = tuple engine). The
-    /// pre-fused signature, kept for the common two-engine call sites;
-    /// see [`ExecOptions::with_executor`] for the general form.
-    pub fn with_engine(mut self, cfg: Option<BatchConfig>) -> Self {
-        self.engine = cfg.into();
         self
     }
 
@@ -225,6 +247,12 @@ impl ExecOptions {
     /// Harvest and merge observed selectivities from this execution.
     pub fn with_feedback(mut self, on: bool) -> Self {
         self.feedback = on;
+        self
+    }
+
+    /// Measure this execution (see [`ExecOptions::analyze`]).
+    pub fn with_analyze(mut self, on: bool) -> Self {
+        self.analyze = on;
         self
     }
 }
@@ -515,85 +543,6 @@ impl Database {
         }
     }
 
-    /// Execute an optimized physical plan, returning all result tuples.
-    pub fn execute(&self, plan: &RelPlan) -> Vec<Tuple> {
-        let snap = self.snapshot();
-        let mut op = crate::compile::compile_at(self, &snap, plan).operator;
-        collect(op.as_mut())
-    }
-
-    /// Execute a plan on the vectorized batch engine. For serial plans
-    /// this produces the same rows in the same order as
-    /// [`Database::execute`]; a plan with `gather(n>1)` regions produces
-    /// the same *multiset* of rows in a nondeterministic interleaving
-    /// (the differential suite enforces both).
-    pub fn execute_batch(&self, plan: &RelPlan, cfg: BatchConfig) -> Vec<Tuple> {
-        self.execute_batch_traced(plan, cfg, None)
-    }
-
-    /// [`Database::execute_batch`], plus one
-    /// [`TraceEvent::MorselPhase`] per morsel-parallel gather region in
-    /// the plan, emitted after execution completes (workers aggregate
-    /// their counters lock-free while running).
-    pub fn execute_batch_traced(
-        &self,
-        plan: &RelPlan,
-        cfg: BatchConfig,
-        tracer: Option<&dyn Tracer>,
-    ) -> Vec<Tuple> {
-        let snap = self.snapshot();
-        let compiled = crate::compile::compile_batch_at(self, &snap, plan, cfg);
-        let mut op = compiled.operator;
-        let rows = collect_batches(op.as_mut());
-        if let Some(t) = tracer {
-            if t.enabled() {
-                for g in &compiled.gathers {
-                    t.event(TraceEvent::MorselPhase {
-                        workers: g.workers(),
-                        morsels: g.dispatched(),
-                        steals: g.stolen(),
-                    });
-                }
-            }
-        }
-        rows
-    }
-
-    /// Execute a plan on the pipeline-fused engine: same multiset of
-    /// rows as [`Database::execute`] and [`Database::execute_batch`]
-    /// (same order for serial plans), with fusable segments running as
-    /// compiled [`crate::fused::FusedRegion`] pipelines.
-    pub fn execute_fused(&self, plan: &RelPlan, cfg: BatchConfig) -> Vec<Tuple> {
-        self.execute_fused_traced(plan, cfg, None)
-    }
-
-    /// [`Database::execute_fused`], plus one
-    /// [`TraceEvent::MorselPhase`] per morsel-parallel gather region,
-    /// emitted after execution completes.
-    pub fn execute_fused_traced(
-        &self,
-        plan: &RelPlan,
-        cfg: BatchConfig,
-        tracer: Option<&dyn Tracer>,
-    ) -> Vec<Tuple> {
-        let snap = self.snapshot();
-        let compiled = crate::fused::compile_fused_at(self, &snap, plan, cfg);
-        let mut op = compiled.operator;
-        let rows = collect_batches(op.as_mut());
-        if let Some(t) = tracer {
-            if t.enabled() {
-                for g in &compiled.gathers {
-                    t.event(TraceEvent::MorselPhase {
-                        workers: g.workers(),
-                        morsels: g.dispatched(),
-                        steals: g.stolen(),
-                    });
-                }
-            }
-        }
-        rows
-    }
-
     // -----------------------------------------------------------------
     // Prepared statements and the plan cache.
 
@@ -790,57 +739,49 @@ impl Database {
         }
     }
 
-    /// Execute a prepared statement, returning only the rows. See
-    /// [`Database::execute_prepared_traced`] for the audited form.
-    pub fn execute_prepared(
-        &self,
-        stmt: &PreparedStatement,
-        params: &[Value],
-        engine: Option<BatchConfig>,
-    ) -> Result<Vec<Tuple>, PrepareError> {
-        self.execute_prepared_traced(stmt, params, engine, None)
-            .map(|o| o.rows)
-    }
-
-    /// Execute a prepared statement through the plan cache.
+    /// Execute a query — a physical plan or a prepared statement — on
+    /// `opts.engine`: the one execution entry point. Every engine returns
+    /// the same rows, in the same order for serial plans; `gather(n > 1)`
+    /// regions interleave them nondeterministically.
     ///
-    /// The flow per execution: bind the full parameter vector, lower the
-    /// shape (cheap — no search), compute the shape key, and probe the
-    /// cache. A valid entry is re-bound to the new constants and executed
-    /// with **no optimizer involvement**; the returned outcome carries
+    /// A prepared statement binds its full parameter vector, lowers the
+    /// shape (cheap — no search), computes the shape key, and probes the
+    /// plan cache. A valid entry is re-bound to the new constants and
+    /// executed with **no optimizer involvement**; the outcome carries
     /// `search: None` as evidence. A miss (or an entry killed by the
     /// epoch/drift guard) optimizes as usual and caches the result.
     ///
-    /// `tracer` receives one [`TraceEvent::PlanCacheLookup`] per call.
-    pub fn execute_prepared_traced(
+    /// The whole flow runs against one schema snapshot, so concurrent
+    /// DDL cannot make it panic half-way: a statement whose table was
+    /// dropped fails cleanly at lowering, and a drop landing *after* the
+    /// snapshot executes against the pre-drop data.
+    ///
+    /// `tracer` receives one [`TraceEvent::PlanCacheLookup`] per
+    /// prepared execution, one [`TraceEvent::MorselPhase`] per
+    /// morsel-parallel gather region, and one
+    /// [`TraceEvent::FeedbackApplied`] per feedback harvest.
+    pub fn run<'a>(
         &self,
-        stmt: &PreparedStatement,
-        params: &[Value],
-        engine: Option<BatchConfig>,
-        tracer: Option<&dyn Tracer>,
-    ) -> Result<PreparedOutcome, PrepareError> {
-        self.execute_prepared_opts(
-            stmt,
-            params,
-            &ExecOptions::new().with_engine(engine),
-            tracer,
-        )
-    }
-
-    /// [`Database::execute_prepared_traced`] with full per-execution
-    /// controls (engine, search budget) — the serving layer's entry
-    /// point. The whole flow runs against one schema snapshot, so
-    /// concurrent DDL cannot make it panic half-way: a statement whose
-    /// table was dropped fails cleanly at lowering, and a drop landing
-    /// *after* the snapshot executes against the pre-drop data.
-    pub fn execute_prepared_opts(
-        &self,
-        stmt: &PreparedStatement,
-        params: &[Value],
+        query: impl Into<Query<'a>>,
         opts: &ExecOptions,
         tracer: Option<&dyn Tracer>,
-    ) -> Result<PreparedOutcome, PrepareError> {
+    ) -> Result<Outcome, PrepareError> {
         let snap = self.snapshot();
+        let (stmt, params) = match query.into() {
+            Query::Plan(plan, catalog) => {
+                let catalog = catalog.unwrap_or(snap.catalog());
+                let (rows, analysis) = self.drain(&snap, catalog, plan, opts, tracer);
+                return Ok(Outcome {
+                    rows,
+                    cache: "none",
+                    search: None,
+                    cost: plan.cost,
+                    plan: plan.clone(),
+                    analysis,
+                });
+            }
+            Query::Prepared(stmt, params) => (stmt, params),
+        };
         let full = stmt.param.bind(params).map_err(PrepareError::Bind)?;
         // Lowering re-resolves names against the snapshot's catalog: a
         // shape over a dropped table fails here, before any cache probe,
@@ -850,9 +791,8 @@ impl Database {
             .map_err(PrepareError::Lower)?;
         let goal = RelProps::sorted(q.order_by.clone());
         let shape = shape_key(&q.expr, &q.order_by);
-        let feedback = opts.feedback || self.feedback_enabled();
 
-        if opts.bypass_cache || !self.plan_cache_enabled() {
+        let (cost, plan, cache, search) = if opts.bypass_cache || !self.plan_cache_enabled() {
             if let Some(t) = tracer {
                 t.event(TraceEvent::PlanCacheLookup {
                     shape,
@@ -860,70 +800,59 @@ impl Database {
                 });
             }
             let (plan, stats) = self.optimize(&catalog, &q.expr, goal, opts.budget.clone())?;
-            return Ok(PreparedOutcome {
-                rows: self.run_prepared(&snap, &plan, opts.engine, feedback, tracer),
-                cache: "bypass",
-                cost: plan.cost,
-                search: Some(stats),
-                plan,
-            });
-        }
-
-        let epoch = self.epoch();
-        let drift = self.drift_factor();
-        let options = self.model_options();
-        let outcome = self.plan_cache.lookup(shape, &goal, |entry| {
-            if entry.epoch == epoch {
-                crate::plan_cache::Validation::Valid
-            } else {
-                drift_validation(entry, &snap.catalog, &options, &full, epoch, drift)
-            }
-        });
-        if let Some(t) = tracer {
-            t.event(TraceEvent::PlanCacheLookup {
-                shape,
-                outcome: outcome.label(),
-            });
-        }
-        match outcome {
-            CacheOutcome::Hit(entry) => {
-                let plan = rebind_plan(&entry.plan, &full);
-                Ok(PreparedOutcome {
-                    rows: self.run_prepared(&snap, &plan, opts.engine, feedback, tracer),
-                    cache: "hit",
-                    cost: entry.cost,
-                    search: None,
-                    plan,
-                })
-            }
-            CacheOutcome::Miss | CacheOutcome::Invalidated => {
-                let label = outcome.label();
-                let (plan, stats) =
-                    self.optimize(&catalog, &q.expr, goal.clone(), opts.budget.clone())?;
-                // A budget-degraded plan is an under-pressure upper
-                // bound; caching it would pessimize every later
-                // execution of this shape. Let the next unpressured
-                // execution optimize and cache properly.
-                if !stats.outcome.is_degraded() {
-                    self.plan_cache.insert(
-                        shape,
-                        goal,
-                        CacheEntry {
-                            plan: plan.clone(),
-                            cost: plan.cost,
-                            epoch,
-                        },
-                    );
+            (plan.cost, plan, "bypass", Some(stats))
+        } else {
+            let epoch = self.epoch();
+            let drift = self.drift_factor();
+            let options = self.model_options();
+            let outcome = self.plan_cache.lookup(shape, &goal, |entry| {
+                if entry.epoch == epoch {
+                    crate::plan_cache::Validation::Valid
+                } else {
+                    drift_validation(entry, &snap.catalog, &options, &full, epoch, drift)
                 }
-                Ok(PreparedOutcome {
-                    rows: self.run_prepared(&snap, &plan, opts.engine, feedback, tracer),
-                    cache: label,
-                    cost: plan.cost,
-                    search: Some(stats),
-                    plan,
-                })
+            });
+            if let Some(t) = tracer {
+                t.event(TraceEvent::PlanCacheLookup {
+                    shape,
+                    outcome: outcome.label(),
+                });
             }
-        }
+            match outcome {
+                CacheOutcome::Hit(entry) => {
+                    (entry.cost, rebind_plan(&entry.plan, &full), "hit", None)
+                }
+                CacheOutcome::Miss | CacheOutcome::Invalidated => {
+                    let (plan, stats) =
+                        self.optimize(&catalog, &q.expr, goal.clone(), opts.budget.clone())?;
+                    // A budget-degraded plan is an under-pressure upper
+                    // bound; caching it would pessimize every later
+                    // execution of this shape. Let the next unpressured
+                    // execution optimize and cache properly.
+                    if !stats.outcome.is_degraded() {
+                        self.plan_cache.insert(
+                            shape,
+                            goal,
+                            CacheEntry {
+                                plan: plan.clone(),
+                                cost: plan.cost,
+                                epoch,
+                            },
+                        );
+                    }
+                    (plan.cost, plan, outcome.label(), Some(stats))
+                }
+            }
+        };
+        let (rows, analysis) = self.drain(&snap, &catalog, &plan, opts, tracer);
+        Ok(Outcome {
+            rows,
+            cache,
+            search,
+            cost,
+            plan,
+            analysis,
+        })
     }
 
     fn optimize(
@@ -946,87 +875,70 @@ impl Database {
         Ok((plan, opt.stats().clone()))
     }
 
-    /// Dispatch a prepared execution: the plain engine run, or — with
-    /// feedback on — the instrumented run that harvests and merges
-    /// observed selectivities.
-    fn run_prepared(
+    /// Compile `plan` for `opts.engine` against the snapshot it was
+    /// lowered on and drain it: the plain operator tree, or the
+    /// instrumented one when the run is analyzed or harvests feedback
+    /// (an instrumented run, then a harvest into the catalog's memory).
+    ///
+    /// Instrumented tuple and batch runs execute gathers serially. Fused
+    /// pipelines always count their rows: an analyzed fused run makes
+    /// its gathers serial so the counters cover the whole input, a
+    /// feedback-only one keeps them parallel and harvests nothing below.
+    fn drain(
         &self,
-        snap: &Arc<SchemaSnapshot>,
+        snap: &SchemaSnapshot,
+        catalog: &Catalog,
         plan: &RelPlan,
-        engine: Engine,
-        feedback: bool,
+        opts: &ExecOptions,
         tracer: Option<&dyn Tracer>,
-    ) -> Vec<Tuple> {
-        if feedback {
-            self.run_feedback_at(snap, plan, engine, tracer)
-        } else {
-            self.run_at(snap, plan, engine)
-        }
-    }
-
-    /// Execute `plan` with per-operator (tuple/batch) or per-pipeline
-    /// (fused) instrumentation, harvest selectivity observations from
-    /// the actual cardinalities, and merge them into the catalog's
-    /// memory. Emits one [`TraceEvent::FeedbackApplied`] per execution.
-    fn run_feedback_at(
-        &self,
-        snap: &Arc<SchemaSnapshot>,
-        plan: &RelPlan,
-        engine: Engine,
-        tracer: Option<&dyn Tracer>,
-    ) -> Vec<Tuple> {
-        let (rows, observations) = match engine {
+    ) -> (Vec<Tuple>, Option<Analysis>) {
+        let feedback = opts.feedback || self.feedback_enabled();
+        let instrumented = opts.analyze || feedback;
+        let (rows, gathers, analysis) = match opts.engine {
+            Engine::Tuple | Engine::Batch(_) if instrumented => {
+                let cfg = opts.engine.batch_config();
+                let (rows, analysis) = run_instrumented(self, snap, catalog, plan, cfg);
+                (rows, Vec::new(), Some(analysis))
+            }
             Engine::Tuple => {
-                let analyzed = crate::analyze::execute_analyzed_at(self, snap, &snap.catalog, plan);
-                let obs = volcano_rel::observations(&snap.catalog, plan, &analyzed.actual_rows());
-                (analyzed.rows, obs)
+                let mut op = compile_at(self, snap, plan).operator;
+                (collect(op.as_mut()), Vec::new(), None)
             }
             Engine::Batch(cfg) => {
-                let analyzed =
-                    crate::analyze::execute_analyzed_batch_at(self, snap, &snap.catalog, plan, cfg);
-                let obs = volcano_rel::observations(&snap.catalog, plan, &analyzed.actual_rows());
-                (analyzed.rows, obs)
+                let compiled = compile_batch_at(self, snap, plan, cfg);
+                let mut op = compiled.operator;
+                (collect_batches(op.as_mut()), compiled.gathers, None)
             }
             Engine::Fused(cfg) => {
-                // The fused engine measures per pipeline, not per plan
-                // node; the report's harvest hints map pipeline counters
-                // back to predicate terms and join pairs.
-                let compiled = crate::fused::compile_fused_at(self, snap, plan, cfg);
+                let compiled = compile_fused_with(self, snap, plan, cfg, opts.analyze);
                 let mut op = compiled.operator;
                 let rows = collect_batches(op.as_mut());
-                let obs = compiled.report.observations();
-                (rows, obs)
+                let analysis = instrumented.then_some(Analysis::Fused(compiled.report));
+                (rows, compiled.gathers, analysis)
             }
         };
-        let epoch_bumped = self.apply_feedback(&observations);
-        if let Some(t) = tracer {
-            t.event(TraceEvent::FeedbackApplied {
-                observations: observations.len() as u64,
-                epoch_bumped,
-            });
-        }
-        rows
-    }
-
-    /// Execute `plan` against a pinned snapshot (same snapshot the plan
-    /// was lowered on).
-    fn run_at(&self, snap: &Arc<SchemaSnapshot>, plan: &RelPlan, engine: Engine) -> Vec<Tuple> {
-        match engine {
-            Engine::Tuple => {
-                let mut op = crate::compile::compile_at(self, snap, plan).operator;
-                collect(op.as_mut())
-            }
-            Engine::Batch(cfg) => {
-                let compiled = crate::compile::compile_batch_at(self, snap, plan, cfg);
-                let mut op = compiled.operator;
-                collect_batches(op.as_mut())
-            }
-            Engine::Fused(cfg) => {
-                let compiled = crate::fused::compile_fused_at(self, snap, plan, cfg);
-                let mut op = compiled.operator;
-                collect_batches(op.as_mut())
+        // Workers aggregate their counters lock-free while running; the
+        // per-region totals are reported once execution completes.
+        if let Some(t) = tracer.filter(|t| t.enabled()) {
+            for g in &gathers {
+                t.event(TraceEvent::MorselPhase {
+                    workers: g.workers(),
+                    morsels: g.dispatched(),
+                    steals: g.stolen(),
+                });
             }
         }
+        if let (true, Some(analysis)) = (feedback, &analysis) {
+            let observations = analysis.observations(catalog, plan);
+            let epoch_bumped = self.apply_feedback(&observations);
+            if let Some(t) = tracer {
+                t.event(TraceEvent::FeedbackApplied {
+                    observations: observations.len() as u64,
+                    epoch_bumped,
+                });
+            }
+        }
+        (rows, analysis.filter(|_| opts.analyze))
     }
 
     /// Drop a table: unregister it from the catalog (SQL over it fails
@@ -1152,6 +1064,14 @@ mod tests {
     use super::*;
     use volcano_rel::ColumnDef;
 
+    fn exec(
+        db: &Database,
+        stmt: &PreparedStatement,
+        params: &[Value],
+    ) -> Result<Outcome, PrepareError> {
+        db.run(Query::Prepared(stmt, params), &ExecOptions::new(), None)
+    }
+
     fn catalog() -> Catalog {
         let mut c = Catalog::new();
         c.add_table(
@@ -1217,10 +1137,10 @@ mod tests {
         let stmt = db.prepare("SELECT a FROM t WHERE a < 4").unwrap();
         // Auto-parameterized: the literal 4 became a slot with a default.
         assert_eq!(stmt.param_count(), 0);
-        let cold = db.execute_prepared_traced(&stmt, &[], None, None).unwrap();
+        let cold = exec(&db, &stmt, &[]).unwrap();
         assert_eq!(cold.cache, "miss");
         assert!(cold.search.is_some(), "cold run must optimize");
-        let warm = db.execute_prepared_traced(&stmt, &[], None, None).unwrap();
+        let warm = exec(&db, &stmt, &[]).unwrap();
         assert_eq!(warm.cache, "hit");
         assert!(warm.search.is_none(), "warm run must not optimize");
         assert_eq!(cold.rows, warm.rows);
@@ -1238,10 +1158,11 @@ mod tests {
         db.generate(13);
         let stmt = db.prepare("SELECT a FROM t WHERE a < 4").unwrap();
         let tracer = CollectingTracer::new();
-        db.execute_prepared_traced(&stmt, &[], None, Some(&tracer))
-            .unwrap();
-        db.execute_prepared_traced(&stmt, &[], None, Some(&tracer))
-            .unwrap();
+        let opts = ExecOptions::new();
+        for _ in 0..2 {
+            db.run(Query::Prepared(&stmt, &[]), &opts, Some(&tracer))
+                .unwrap();
+        }
         let lookups: Vec<(u64, &'static str)> = tracer
             .take()
             .into_iter()
@@ -1264,9 +1185,7 @@ mod tests {
         let stmt = db.prepare("SELECT a FROM t WHERE a < $0").unwrap();
         assert_eq!(stmt.param_count(), 1);
         let oracle = |bound: i64| {
-            let mut rows = db
-                .execute_prepared(&stmt, &[Value::Int(bound)], None)
-                .unwrap();
+            let mut rows = exec(&db, &stmt, &[Value::Int(bound)]).unwrap().rows;
             rows.sort();
             rows
         };
@@ -1287,18 +1206,18 @@ mod tests {
         let db = Database::in_memory(catalog());
         db.generate(5);
         let stmt = db.prepare("SELECT a FROM t WHERE a < 6").unwrap();
-        db.execute_prepared(&stmt, &[], None).unwrap();
+        exec(&db, &stmt, &[]).unwrap();
         let before = db.epoch();
         db.bump_epoch();
         assert_eq!(db.epoch(), before + 1);
         // Stats unchanged: the drift guard revalidates in place, still a hit.
-        let out = db.execute_prepared_traced(&stmt, &[], None, None).unwrap();
+        let out = exec(&db, &stmt, &[]).unwrap();
         assert_eq!(out.cache, "hit");
         assert!(out.search.is_none());
         // Force every stale entry to re-optimize.
         db.set_drift_factor(0.0);
         db.bump_epoch();
-        let out = db.execute_prepared_traced(&stmt, &[], None, None).unwrap();
+        let out = exec(&db, &stmt, &[]).unwrap();
         assert_eq!(out.cache, "invalidated");
         assert!(out.search.is_some());
         let s = db.plan_cache().stats();
@@ -1310,13 +1229,13 @@ mod tests {
         let db = Database::in_memory(catalog());
         db.generate(2);
         let stmt = db.prepare("SELECT a FROM t WHERE a < 5").unwrap();
-        db.execute_prepared(&stmt, &[], None).unwrap();
+        exec(&db, &stmt, &[]).unwrap();
         assert_eq!(db.plan_cache().len(), 1);
         assert!(db.drop_table("t"));
         assert!(!db.drop_table("t"));
         assert_eq!(db.plan_cache().len(), 0);
         // Lowering now fails before any cache probe.
-        let err = db.execute_prepared(&stmt, &[], None).unwrap_err();
+        let err = exec(&db, &stmt, &[]).unwrap_err();
         assert!(matches!(err, PrepareError::Lower(_)), "{err}");
         assert_eq!(db.plan_cache().stats().lookups, 1);
     }
@@ -1343,12 +1262,12 @@ mod tests {
         let db = Database::in_memory(catalog());
         db.generate(11);
         let stmt = db.prepare("SELECT a FROM t WHERE a < 4").unwrap();
-        db.execute_prepared(&stmt, &[], None).unwrap();
+        exec(&db, &stmt, &[]).unwrap();
         let s = db.feedback_stats();
         assert!(!s.enabled);
         assert_eq!((s.observations, s.applications, s.cells), (0, 0, 0));
         db.set_feedback_enabled(true);
-        db.execute_prepared(&stmt, &[], None).unwrap();
+        exec(&db, &stmt, &[]).unwrap();
         let s = db.feedback_stats();
         assert!(s.enabled);
         assert!(s.observations > 0, "{s:?}");
@@ -1365,7 +1284,7 @@ mod tests {
         db.generate(11);
         let stmt = db.prepare("SELECT a FROM t WHERE a < 4").unwrap();
         let opts = ExecOptions::new().with_feedback(true);
-        let out = db.execute_prepared_opts(&stmt, &[], &opts, None).unwrap();
+        let out = db.run(Query::Prepared(&stmt, &[]), &opts, None).unwrap();
         assert!(!out.rows.is_empty());
         assert!(!db.feedback_enabled(), "global switch untouched");
         assert!(db.feedback_stats().observations > 0);
@@ -1404,7 +1323,7 @@ mod tests {
         db.generate(11);
         db.set_feedback_enabled(true);
         let stmt = db.prepare("SELECT a FROM t WHERE a < 4").unwrap();
-        db.execute_prepared(&stmt, &[], None).unwrap();
+        exec(&db, &stmt, &[]).unwrap();
         let cells = db.feedback_stats().cells;
         assert!(cells > 0);
         let bytes = db.export_feedback();
@@ -1426,11 +1345,11 @@ mod tests {
         let db = Database::in_memory(catalog());
         db.generate(9);
         let stmt = db.prepare("SELECT a FROM t WHERE a < 5").unwrap();
-        db.execute_prepared(&stmt, &[], None).unwrap();
+        exec(&db, &stmt, &[]).unwrap();
         assert_eq!(db.plan_cache().len(), 1);
         db.set_plan_cache_enabled(false);
         assert_eq!(db.plan_cache().len(), 0);
-        let out = db.execute_prepared_traced(&stmt, &[], None, None).unwrap();
+        let out = exec(&db, &stmt, &[]).unwrap();
         assert_eq!(out.cache, "bypass");
         assert!(out.search.is_some());
         // Bypassed lookups touch no counters.

@@ -219,22 +219,13 @@ pub struct CompiledFused {
 
 /// Compile a plan for the fused engine (the current schema snapshot).
 pub fn compile_fused(db: &Database, plan: &RelPlan, cfg: BatchConfig) -> CompiledFused {
-    compile_fused_at(db, &db.snapshot(), plan, cfg)
+    compile_fused_with(db, &db.snapshot(), plan, cfg, false)
 }
 
-/// [`compile_fused`] against a pinned schema snapshot.
-pub(crate) fn compile_fused_at(
-    db: &Database,
-    sch: &SchemaSnapshot,
-    plan: &RelPlan,
-    cfg: BatchConfig,
-) -> CompiledFused {
-    compile_fused_with(db, sch, plan, cfg, false)
-}
-
-/// Full-control entry point: `serial_gather` degrades every gather node
-/// to a serial pass-through (the EXPLAIN ANALYZE path uses this so the
-/// per-pipeline counters cover the whole input, not a worker's share).
+/// [`compile_fused`] against a pinned schema snapshot. `serial_gather`
+/// degrades every gather node to a serial pass-through (an analyzed run
+/// uses this so the per-pipeline counters cover the whole input, not a
+/// worker's share).
 pub(crate) fn compile_fused_with(
     db: &Database,
     sch: &SchemaSnapshot,

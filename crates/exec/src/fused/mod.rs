@@ -8,10 +8,11 @@
 //! no adapter: each pipeline is one loop per batch that decodes only
 //! the columns it touches, evaluates predicate conjuncts through
 //! kernels monomorphized over the column types ([`FusedPred`]), and
-//! probes join hash tables directly. Non-fusable operators (sort,
-//! aggregate, set ops, merge/nested/multiway joins) fall back to the
-//! existing operators, with at most one adapter per genuine engine
-//! boundary.
+//! probes join hash tables directly. Hash aggregates end a pipeline in
+//! an aggregation sink or run batch-native; gathers run on the morsel
+//! executor; other non-fusable operators (sort, set ops,
+//! merge/nested/multiway joins, index scans) run on the tuple engine's
+//! operators, with at most one adapter per genuine engine boundary.
 //!
 //! Semantics are identical to the other two engines by construction:
 //! the kernels defer to the batch engine's on any unexpected column
@@ -23,7 +24,7 @@ mod compile;
 mod pred;
 mod region;
 
+pub(crate) use compile::compile_fused_with;
 pub use compile::{compile_fused, CompiledFused, FusedReport, PipelineInfo};
-pub(crate) use compile::{compile_fused_at, compile_fused_with};
 pub use pred::FusedPred;
 pub use region::{FusedRegion, PipelineStats};

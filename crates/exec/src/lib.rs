@@ -7,11 +7,12 @@
 //!
 //! * [`ops`] — the algorithms the optimizer chooses among: table scan,
 //!   filtered scan, filter, project, sort, merge join, hash join, nested
-//!   loops, set operations, aggregation, and the `exchange` operator for
-//!   pipeline parallelism (crossbeam channels), per the paper's
-//!   parallelism discussion.
+//!   loops, set operations, and aggregation.
 //! * [`database`] — tables as heap files behind a buffer pool, with data
-//!   generation that honours the catalog's statistics.
+//!   generation that honours the catalog's statistics, and the one
+//!   execution entry point, [`Database::run`]: a physical plan or a
+//!   prepared statement (through the plan cache) on any engine, plain,
+//!   analyzed ([`analyze`]), or harvesting feedback.
 //! * [`compile()`] — lowers an optimized [`volcano_rel::RelPlan`] to an
 //!   executable operator tree, resolving attributes to positions.
 //! * [`batch`] / [`kernels`] — a second, vectorized executor over the
@@ -22,13 +23,15 @@
 //! * [`fused`] — a third, pipeline-fused executor: maximal
 //!   scan→filter→project→probe plan segments compiled into single
 //!   fused-region operators with monomorphized predicate kernels and
-//!   projected record decoding, falling back to batch operators (one
-//!   adapter per genuine boundary) for everything else
-//!   ([`compile_fused()`]).
+//!   projected record decoding ([`compile_fused()`]). Hash aggregates
+//!   end a fused pipeline in an aggregation sink or run batch-native;
+//!   every other non-fusable node runs on the tuple engine's operator,
+//!   one adapter per genuine engine boundary.
 //! * [`morsel`] — morsel-driven parallel execution of `gather(n)`
-//!   regions: page-range morsels, work-stealing workers, partitioned
-//!   parallel hash joins, results streamed to the consumer over a
-//!   bounded exchange channel.
+//!   regions ([`ParallelGather`], the exchange operator of this engine):
+//!   page-range morsels, work-stealing workers, partitioned parallel
+//!   hash joins, results streamed to the consumer over a bounded
+//!   channel.
 //! * [`serve`] — the multi-session serving layer: sessions with their
 //!   own prepared statements and `SET` state over one shared
 //!   `Send + Sync` [`database::Database`], with admission control that
@@ -54,16 +57,14 @@ pub mod ops;
 pub mod plan_cache;
 pub mod serve;
 
-pub use analyze::{
-    execute_analyzed, execute_analyzed_batch, execute_analyzed_fused, Analyzed, AnalyzedFused,
-};
+pub use analyze::{Analysis, NodeMeasurement};
 pub use batch::{collect_batches, Batch, BatchOperator, BoxedBatchOperator, Column};
 pub use compile::{
     compile, compile_batch, compile_node, compile_node_at, schema_of, schema_of_at, BatchConfig,
     Compiled, CompiledBatch, Engine,
 };
 pub use database::{
-    Database, ExecOptions, FeedbackStats, PrepareError, PreparedOutcome, PreparedStatement,
+    Database, ExecOptions, FeedbackStats, Outcome, PrepareError, PreparedStatement, Query,
     SchemaSnapshot, DEFAULT_DRIFT_FACTOR, DEFAULT_PLAN_CACHE_CAPACITY, FEEDBACK_MATERIAL_RATIO,
 };
 pub use fused::{compile_fused, CompiledFused, FusedRegion, FusedReport};

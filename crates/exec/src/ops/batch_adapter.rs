@@ -5,7 +5,7 @@
 //! subtree back to the iterator interface (rows are materialized one at
 //! a time from the current batch). Together they let a mixed plan — a
 //! vectorized scan/filter/project/join pipeline below a tuple-only sort,
-//! aggregate, set operation, or exchange — execute end-to-end in either
+//! stream aggregate, or set operation — execute end-to-end in either
 //! engine with identical results: the adapters reorder nothing and drop
 //! nothing, they only change the unit of transfer.
 

@@ -7,7 +7,6 @@ pub mod batch_filter;
 pub mod batch_join;
 pub mod batch_project;
 pub mod batch_scan;
-pub mod exchange;
 pub mod external_sort;
 pub mod filter;
 pub mod index_scan;
@@ -24,7 +23,6 @@ pub use batch_filter::BatchFilter;
 pub use batch_join::BatchHashJoin;
 pub use batch_project::BatchProject;
 pub use batch_scan::BatchScan;
-pub use exchange::Exchange;
 pub use external_sort::ExternalSort;
 pub use filter::{CompiledPred, Filter};
 pub use index_scan::IndexScan;

@@ -109,7 +109,9 @@ pub struct PlanCacheStats {
     pub invalidations: u64,
     /// Entries inserted.
     pub insertions: u64,
-    /// Entries evicted to stay within capacity.
+    /// Entries evicted to stay within capacity, or displaced by a
+    /// later insert for the same key (two executions that missed on
+    /// one shape concurrently both optimize and insert).
     pub evictions: u64,
 }
 
@@ -241,7 +243,9 @@ impl PlanCache {
         let mut shard = self.shard(shape).lock().expect("plan-cache shard poisoned");
         shard.tick += 1;
         let tick = shard.tick;
-        shard.entries.insert((shape, goal), (entry, tick));
+        if shard.entries.insert((shape, goal), (entry, tick)).is_some() {
+            self.evictions.fetch_add(1, Ordering::Relaxed);
+        }
         self.insertions.fetch_add(1, Ordering::Relaxed);
         while shard.entries.len() > cap {
             let victim = shard
@@ -446,6 +450,10 @@ mod tests {
             cache.insert(shard0(i), RelProps::any(), entry(0));
         }
         assert_eq!(cache.len(), 4);
+        // Re-inserting a key displaces, and counts, the older entry.
+        cache.insert(shard0(6), RelProps::any(), entry(1));
+        let s = cache.stats();
+        assert_eq!(cache.len() as u64, s.insertions - s.evictions);
     }
 
     #[test]

@@ -42,7 +42,7 @@ use volcano_rel::Value;
 use volcano_sql::AstQuery;
 
 use crate::compile::Engine;
-use crate::database::{Database, ExecOptions, PrepareError, PreparedOutcome, PreparedStatement};
+use crate::database::{Database, ExecOptions, Outcome, PrepareError, PreparedStatement, Query};
 
 /// The latency class of a request, deciding how admission overload is
 /// absorbed: by degrading search (interactive), by bounded waiting
@@ -319,7 +319,7 @@ impl From<PrepareError> for SessionError {
 #[derive(Debug)]
 pub struct SessionOutcome {
     /// Rows, cache verdict, search stats, plan cost.
-    pub outcome: PreparedOutcome,
+    pub outcome: Outcome,
     /// `true` when this execution ran under the degraded budget
     /// (admitted without a ticket).
     pub degraded: bool,
@@ -501,7 +501,7 @@ impl Session {
         opts.budget = budget;
         let outcome = self
             .db
-            .execute_prepared_opts(stmt, params, &opts, tracer)
+            .run(Query::Prepared(stmt, params), &opts, tracer)
             .map_err(SessionError::Prepare)?;
         Ok(SessionOutcome {
             outcome,

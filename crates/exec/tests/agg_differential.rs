@@ -25,9 +25,10 @@ use common::testkit::{
     assert_same_multiset, high_cardinality_rows, skewed_rows, thread_counts, Lcg,
 };
 use proptest::prelude::*;
+use volcano_bench::run_plan;
 use volcano_core::PhysicalProps;
 use volcano_exec::kernels::agg::{CompiledAgg, GroupScratch, GroupTable};
-use volcano_exec::{Batch, BatchConfig, Column, Database};
+use volcano_exec::{Batch, BatchConfig, Column, Database, Engine};
 use volcano_rel::catalog::ColType;
 use volcano_rel::value::Tuple;
 use volcano_rel::{
@@ -118,15 +119,15 @@ fn assert_agg_agrees(db: &Database, sql: &str, degree: u32) {
             explain_plan(&catalog, &plan)
         );
     }
-    let tuple_rows = db.execute(&plan);
+    let tuple_rows = run_plan(db, &plan, Engine::Tuple);
     for batch_size in [Some(1), None, Some(1024)] {
         let cfg = match batch_size {
             Some(n) => BatchConfig::with_batch_size(n),
             None => BatchConfig::default(),
         };
         let tag = format!("{sql}: deg={degree} batch={batch_size:?}");
-        let batch_rows = db.execute_batch(&plan, cfg);
-        let fused_rows = db.execute_fused(&plan, cfg);
+        let batch_rows = run_plan(db, &plan, Engine::Batch(cfg));
+        let fused_rows = run_plan(db, &plan, Engine::Fused(cfg));
         assert_same_multiset(&tuple_rows, &batch_rows, &format!("{tag} [batch]"));
         assert_same_multiset(&tuple_rows, &fused_rows, &format!("{tag} [fused]"));
     }
@@ -175,7 +176,7 @@ fn empty_input_grand_total_yields_one_row_everywhere() {
         opt.find_best_plan(root, RelProps::any(), None).unwrap()
     };
     assert_eq!(
-        db.execute(&plan),
+        run_plan(&db, &plan, Engine::Tuple),
         vec![vec![Value::Int(0), Value::Null]],
         "grand total over empty input"
     );
@@ -212,7 +213,7 @@ fn huge_integer_sums_are_exact_at_every_degree() {
         let root = opt.insert_tree(&q.expr);
         opt.find_best_plan(root, RelProps::any(), None).unwrap()
     };
-    for row in db.execute(&plan) {
+    for row in run_plan(&db, &plan, Engine::Tuple) {
         let Value::Int(k) = row[0] else {
             panic!("integer group key")
         };

@@ -17,9 +17,10 @@
 mod common;
 
 use common::testkit::{assert_same_multiset, optimize_drift_guarded};
+use volcano_bench::run_plan;
 use volcano_bench::workload::{generate_query, WorkloadConfig};
 use volcano_core::PhysicalProps;
-use volcano_exec::{BatchConfig, Database};
+use volcano_exec::{BatchConfig, Database, Engine};
 use volcano_rel::{RelModel, RelModelOptions, RelPlan, RelProps};
 use volcano_sql::plan_query;
 
@@ -28,10 +29,10 @@ const BATCH_SIZES: [usize; 3] = [1, 4, 1024];
 /// Execute `plan` under both engines and every batch size; assert the
 /// outputs agree.
 fn assert_engines_agree(db: &Database, plan: &RelPlan, tag: &str) {
-    let tuple_rows = db.execute(plan);
+    let tuple_rows = run_plan(db, plan, Engine::Tuple);
     let ordered = !plan.delivered.sort.is_empty();
     for bs in BATCH_SIZES {
-        let batch_rows = db.execute_batch(plan, BatchConfig::with_batch_size(bs));
+        let batch_rows = run_plan(db, plan, Engine::Batch(BatchConfig::with_batch_size(bs)));
         if ordered {
             assert_eq!(
                 tuple_rows, batch_rows,

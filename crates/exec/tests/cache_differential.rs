@@ -30,8 +30,9 @@ mod common;
 use common::testkit::{diff_catalog as catalog, sorted_copy};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use volcano_bench::run_plan;
 use volcano_core::SearchOptions;
-use volcano_exec::{BatchConfig, Database};
+use volcano_exec::{BatchConfig, Database, Engine, ExecOptions, Query};
 use volcano_rel::value::Tuple;
 use volcano_rel::{RelModel, RelOptimizer, RelProps, Value};
 use volcano_sql::{lower_with_params, parse};
@@ -168,7 +169,7 @@ fn oracle_rows(db: &Database, sql: &str, params: &[Value]) -> Result<Vec<Tuple>,
     let plan = opt
         .find_best_plan(root, RelProps::sorted(q.order_by.clone()), None)
         .map_err(|e| format!("oracle optimize: {e}"))?;
-    Ok(db.execute(&plan))
+    Ok(run_plan(db, &plan, Engine::Tuple))
 }
 
 /// Run every parameter vector of a case through the cached path (both
@@ -180,6 +181,7 @@ fn run_case(db: &Database, case: &Case) -> Result<(), String> {
     let stmt = db
         .prepare(&sql)
         .map_err(|e| format!("prepare failed: {e}"))?;
+    let batch_opts = ExecOptions::new().with_executor(Engine::Batch(BatchConfig::default()));
     for (run, values) in case.value_sets.iter().enumerate() {
         // Literal filters are baked into the oracle's SQL text but are
         // auto-parameterized slots in the prepared template.
@@ -195,10 +197,10 @@ fn run_case(db: &Database, case: &Case) -> Result<(), String> {
                 .map_err(|e| format!("re-prepare failed: {e}"))?
         };
         let tuple = db
-            .execute_prepared_traced(&stmt, &params, None, None)
+            .run(Query::Prepared(&stmt, &params), &ExecOptions::new(), None)
             .map_err(|e| format!("run {run}: prepared (tuple) failed: {e}"))?;
         let batch = db
-            .execute_prepared_traced(&stmt, &params, Some(BatchConfig::default()), None)
+            .run(Query::Prepared(&stmt, &params), &batch_opts, None)
             .map_err(|e| format!("run {run}: prepared (batch) failed: {e}"))?;
         if run > 0 {
             for (engine, out) in [("tuple", &tuple), ("batch", &batch)] {

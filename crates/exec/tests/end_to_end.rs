@@ -3,12 +3,15 @@
 //! compare the result against the naive logical-algebra oracle — whatever
 //! plan the optimizer picked.
 
+use volcano_bench::run_plan;
 use volcano_core::{PhysicalProps, SearchOptions};
-use volcano_exec::{assert_same_rows, evaluate_logical, Database};
+use volcano_exec::{
+    assert_same_rows, compile_batch, evaluate_logical, BatchConfig, Database, Engine,
+};
 use volcano_rel::builder::{aggregate, difference, intersect, join_on, project, select_one, union};
 use volcano_rel::{
-    AggFunc, AggSpec, Catalog, Cmp, ColumnDef, QueryBuilder, RelExpr, RelModel, RelModelOptions,
-    RelOptimizer, RelProps, Value,
+    AggFunc, AggSpec, Catalog, Cmp, ColumnDef, QueryBuilder, RelAlg, RelExpr, RelModel,
+    RelModelOptions, RelOptimizer, RelProps, Value,
 };
 
 fn small_catalog() -> Catalog {
@@ -122,7 +125,7 @@ fn sorted_output_is_actually_sorted() {
     let plan = opt
         .find_best_plan(root, RelProps::sorted(vec![key]), None)
         .unwrap();
-    let rows = db.execute(&plan);
+    let rows = run_plan(&db, &plan, Engine::Tuple);
     assert_eq!(rows.len(), 200);
     // salary is column 2.
     for w in rows.windows(2) {
@@ -242,7 +245,7 @@ fn grand_total_on_empty_table() {
         let mut opt = RelOptimizer::new(&model, SearchOptions::default());
         let root = opt.insert_tree(&expr);
         let plan = opt.find_best_plan(root, RelProps::any(), None).unwrap();
-        db.execute(&plan)
+        run_plan(&db, &plan, Engine::Tuple)
     };
     assert_eq!(got, vec![vec![Value::Int(0), Value::Null]]);
 }
@@ -265,10 +268,12 @@ fn random_queries_match_oracle() {
 }
 
 #[test]
-fn exchange_produces_same_rows() {
-    use volcano_exec::ops::Exchange;
-    use volcano_exec::{collect, compile};
-    let (db, model) = setup();
+fn gather_plan_produces_same_rows() {
+    let (db, _) = setup();
+    let model = RelModel::new(
+        small_catalog(),
+        RelModelOptions::default().with_parallel_degree(4),
+    );
     let q = QueryBuilder::new(model.catalog());
     let expr = join_on(
         q.scan("emp"),
@@ -279,11 +284,18 @@ fn exchange_produces_same_rows() {
     let mut opt = RelOptimizer::new(&model, SearchOptions::default());
     let root = opt.insert_tree(&expr);
     let plan = opt.find_best_plan(root, RelProps::any(), None).unwrap();
-    let direct = db.execute(&plan);
-    let compiled = compile(&db, &plan);
-    let mut exchanged = Exchange::new(compiled.operator, 64);
-    let via_thread = collect(&mut exchanged);
-    assert_same_rows(direct, via_thread);
+    assert!(
+        matches!(plan.alg, RelAlg::Gather(4)),
+        "the join must run under a gather: {:?}",
+        plan.alg
+    );
+    let cfg = BatchConfig::default();
+    let serial = run_plan(&db, &plan, Engine::Tuple);
+    for engine in [Engine::Batch(cfg), Engine::Fused(cfg)] {
+        assert_same_rows(serial.clone(), run_plan(&db, &plan, engine));
+    }
+    // The gather really runs on the morsel-parallel executor.
+    assert_eq!(compile_batch(&db, &plan, cfg).gathers.len(), 1);
 }
 
 #[test]
@@ -305,7 +317,7 @@ fn io_counters_reflect_scans() {
     let mut opt = RelOptimizer::new(&model, SearchOptions::default());
     let root = opt.insert_tree(&q.scan("big"));
     let plan = opt.find_best_plan(root, RelProps::any(), None).unwrap();
-    let rows = db.execute(&plan);
+    let rows = run_plan(&db, &plan, Engine::Tuple);
     assert_eq!(rows.len(), 2000);
     let (reads, _) = db.io_stats();
     // ~100 bytes per row, 4 KiB pages → ≈ 40 rows/page → ≈ 50+ pages.
@@ -329,7 +341,7 @@ fn external_sort_spills_through_the_full_pipeline() {
     let plan = opt
         .find_best_plan(root, RelProps::sorted(vec![key]), None)
         .unwrap();
-    let rows = db.execute(&plan);
+    let rows = run_plan(&db, &plan, Engine::Tuple);
     assert_eq!(rows.len(), 200);
     for w in rows.windows(2) {
         assert!(w[0][2] <= w[1][2], "spilled sort output must be ordered");

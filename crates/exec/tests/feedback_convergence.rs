@@ -27,7 +27,7 @@ use std::sync::Mutex;
 
 use common::testkit::{assert_same_multiset, converges_within, sorted_copy, zipf_keys};
 use volcano_core::trace::{TraceEvent, Tracer};
-use volcano_exec::{BatchConfig, Database, Engine, ExecOptions};
+use volcano_exec::{BatchConfig, Database, Engine, ExecOptions, Outcome, PreparedStatement, Query};
 use volcano_rel::value::Tuple;
 use volcano_rel::{explain_plan, Catalog, Cmp, CmpOp, ColumnDef, Observation, RelPlan, Value};
 
@@ -103,6 +103,17 @@ fn engines() -> [Engine; 3] {
     ]
 }
 
+/// Execute `stmt` bound to the hot key under `opts`.
+fn run_hot(
+    db: &Database,
+    stmt: &PreparedStatement,
+    opts: &ExecOptions,
+    tracer: Option<&dyn Tracer>,
+) -> Outcome {
+    db.run(Query::Prepared(stmt, &[Value::Int(0)]), opts, tracer)
+        .unwrap()
+}
+
 fn explain(db: &Database, plan: &RelPlan) -> String {
     explain_plan(db.snapshot().catalog(), plan)
 }
@@ -122,9 +133,7 @@ fn oracle_explain(engine: Engine, true_sel: f64) -> String {
     }]);
     let stmt = db.prepare(SQL).unwrap();
     let opts = ExecOptions::new().with_executor(engine);
-    let out = db
-        .execute_prepared_opts(&stmt, &[Value::Int(0)], &opts, None)
-        .unwrap();
+    let out = run_hot(&db, &stmt, &opts, None);
     explain(&db, &out.plan)
 }
 
@@ -173,9 +182,7 @@ fn assert_converges(engine: Engine) {
     let tracer = FeedbackTracer::default();
     let tag = format!("engine {}", engine.label());
 
-    let first = db
-        .execute_prepared_opts(&stmt, &[Value::Int(0)], &opts, Some(&tracer))
-        .unwrap();
+    let first = run_hot(&db, &stmt, &opts, Some(&tracer));
     let wrong = explain(&db, &first.plan);
     assert_ne!(
         wrong, oracle,
@@ -186,9 +193,7 @@ fn assert_converges(engine: Engine) {
     assert!(!expected.is_empty(), "{tag}: hot key must produce rows");
 
     let converged = converges_within(K, |i| {
-        let out = db
-            .execute_prepared_opts(&stmt, &[Value::Int(0)], &opts, Some(&tracer))
-            .unwrap();
+        let out = run_hot(&db, &stmt, &opts, Some(&tracer));
         assert_same_multiset(&expected, &out.rows, &format!("{tag} execution {i}"));
         explain(&db, &out.plan) == oracle
     });
@@ -244,14 +249,10 @@ fn feedback_off_never_moves_the_plan() {
         let stmt = db.prepare(SQL).unwrap();
         let opts = ExecOptions::new().with_executor(engine);
         let epoch = db.epoch();
-        let first = db
-            .execute_prepared_opts(&stmt, &[Value::Int(0)], &opts, None)
-            .unwrap();
+        let first = run_hot(&db, &stmt, &opts, None);
         let baseline = explain(&db, &first.plan);
         for i in 0..K {
-            let out = db
-                .execute_prepared_opts(&stmt, &[Value::Int(0)], &opts, None)
-                .unwrap();
+            let out = run_hot(&db, &stmt, &opts, None);
             assert_eq!(out.cache, "hit", "engine {} exec {i}", engine.label());
             assert_eq!(
                 explain(&db, &out.plan),
@@ -280,12 +281,8 @@ fn first_feedback_execution_plans_like_feedback_off() {
         let (db_on, _) = populated_db();
         db_on.set_feedback_enabled(true);
         let opts = ExecOptions::new().with_executor(engine);
-        let off = db_off
-            .execute_prepared_opts(&db_off.prepare(SQL).unwrap(), &[Value::Int(0)], &opts, None)
-            .unwrap();
-        let on = db_on
-            .execute_prepared_opts(&db_on.prepare(SQL).unwrap(), &[Value::Int(0)], &opts, None)
-            .unwrap();
+        let off = run_hot(&db_off, &db_off.prepare(SQL).unwrap(), &opts, None);
+        let on = run_hot(&db_on, &db_on.prepare(SQL).unwrap(), &opts, None);
         assert_eq!(
             explain(&db_off, &off.plan),
             explain(&db_on, &on.plan),
@@ -308,9 +305,7 @@ fn exported_memory_primes_a_cold_database() {
     let stmt = db.prepare(SQL).unwrap();
     let opts = ExecOptions::new().with_executor(engine);
     let converged = converges_within(K + 1, |_| {
-        let out = db
-            .execute_prepared_opts(&stmt, &[Value::Int(0)], &opts, None)
-            .unwrap();
+        let out = run_hot(&db, &stmt, &opts, None);
         explain(&db, &out.plan) == oracle
     });
     assert!(converged.is_some());
@@ -318,9 +313,7 @@ fn exported_memory_primes_a_cold_database() {
     let bytes = db.export_feedback();
     let (cold, _) = populated_db();
     assert!(cold.import_feedback(&bytes) > 0);
-    let out = cold
-        .execute_prepared_opts(&cold.prepare(SQL).unwrap(), &[Value::Int(0)], &opts, None)
-        .unwrap();
+    let out = run_hot(&cold, &cold.prepare(SQL).unwrap(), &opts, None);
     assert_eq!(
         explain(&cold, &out.plan),
         oracle,

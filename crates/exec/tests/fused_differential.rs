@@ -21,8 +21,9 @@ mod common;
 use common::testkit::{
     assert_same_multiset, fig4_inputs, optimize_plan, sql_cases, thread_counts, SQL_QUERIES,
 };
+use volcano_bench::run_plan;
 use volcano_exec::{
-    collect_batches, compile_fused, schema_of, BatchConfig, Database, Engine, ExecOptions,
+    collect_batches, compile_fused, schema_of, BatchConfig, Database, Engine, ExecOptions, Query,
 };
 use volcano_rel::value::Tuple;
 use volcano_rel::{RelModel, RelModelOptions, RelPlan};
@@ -55,7 +56,7 @@ fn assert_sorted_on(rows: &[Tuple], key_positions: &[usize], tag: &str) {
 /// Run `plan` on all three engines at every batch size and assert the
 /// cross-engine discipline holds.
 fn assert_three_engines_agree(db: &Database, plan: &RelPlan, tag: &str, degree: u32) {
-    let tuple_rows = db.execute(plan);
+    let tuple_rows = run_plan(db, plan, Engine::Tuple);
     let key_positions: Vec<usize> = {
         let schema = schema_of(db, plan);
         plan.delivered
@@ -71,8 +72,8 @@ fn assert_three_engines_agree(db: &Database, plan: &RelPlan, tag: &str, degree: 
     };
     for batch_size in batch_sizes() {
         let cfg = config(batch_size);
-        let batch_rows = db.execute_batch(plan, cfg);
-        let fused_rows = db.execute_fused(plan, cfg);
+        let batch_rows = run_plan(db, plan, Engine::Batch(cfg));
+        let fused_rows = run_plan(db, plan, Engine::Fused(cfg));
         let mtag = format!("{tag}: deg={degree} batch={batch_size:?}");
         assert_same_multiset(&tuple_rows, &batch_rows, &format!("{mtag} [batch]"));
         assert_same_multiset(&tuple_rows, &fused_rows, &format!("{mtag} [fused]"));
@@ -161,7 +162,7 @@ fn fallback_operators_fuse_around_with_bounded_adapters() {
         let mut op = compiled.operator;
         let rows = collect_batches(op.as_mut());
         assert_eq!(
-            case.db.execute(&case.plan),
+            run_plan(&case.db, &case.plan, Engine::Tuple),
             rows,
             "{}: fused execution through fallbacks diverged",
             case.tag
@@ -239,7 +240,7 @@ fn fusable_plans_compile_adapter_free() {
     );
     let mut op = compiled.operator;
     let rows = collect_batches(op.as_mut());
-    assert_eq!(case.db.execute(&case.plan), rows, "{sql}");
+    assert_eq!(run_plan(&case.db, &case.plan, Engine::Tuple), rows, "{sql}");
 }
 
 /// The prepared-statement / plan-cache path inherits the fused engine:
@@ -253,16 +254,16 @@ fn plan_cache_hit_executes_on_fused_engine() {
         .prepare("SELECT emp.id FROM emp, dept WHERE emp.dept = dept.id")
         .unwrap();
     let opts = ExecOptions::new().with_executor(Engine::Fused(BatchConfig::default()));
-    let cold = db.execute_prepared_opts(&stmt, &[], &opts, None).unwrap();
+    let cold = db.run(Query::Prepared(&stmt, &[]), &opts, None).unwrap();
     assert_eq!(cold.cache, "miss");
-    let warm = db.execute_prepared_opts(&stmt, &[], &opts, None).unwrap();
+    let warm = db.run(Query::Prepared(&stmt, &[]), &opts, None).unwrap();
     assert_eq!(warm.cache, "hit");
     assert!(
         warm.search.is_none(),
         "a cache hit must not re-run the optimizer"
     );
     let oracle = db
-        .execute_prepared_opts(&stmt, &[], &ExecOptions::new(), None)
+        .run(Query::Prepared(&stmt, &[]), &ExecOptions::new(), None)
         .unwrap();
     assert_eq!(oracle.rows, cold.rows, "fused cold run diverged");
     assert_eq!(oracle.rows, warm.rows, "fused cache-hit run diverged");
@@ -287,7 +288,7 @@ fn degraded_search_executes_on_fused_engine() {
         .with_executor(Engine::Fused(BatchConfig::default()))
         .with_budget(tight)
         .with_cache_bypass(true);
-    let degraded = db.execute_prepared_opts(&stmt, &[], &opts, None).unwrap();
+    let degraded = db.run(Query::Prepared(&stmt, &[]), &opts, None).unwrap();
     assert!(
         degraded
             .search
@@ -298,9 +299,8 @@ fn degraded_search_executes_on_fused_engine() {
         "a one-goal budget must trip on a 3-way join"
     );
     let oracle = db
-        .execute_prepared_opts(
-            &stmt,
-            &[],
+        .run(
+            Query::Prepared(&stmt, &[]),
             &ExecOptions::new()
                 .with_budget(volcano_core::SearchBudget::unlimited().with_max_goals(1))
                 .with_cache_bypass(true),

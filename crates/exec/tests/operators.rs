@@ -1,15 +1,21 @@
 //! Direct unit tests of individual execution operators, fed from an
 //! in-memory source — duplicate-key joins, sort-run boundaries, group
-//! boundaries, and the exchange thread.
+//! boundaries — and the morsel-parallel gather's worker pool.
 
+use std::sync::Arc;
+
+use volcano_core::{PhysicalProps, SearchOptions};
 use volcano_exec::iterator::collect;
+use volcano_exec::morsel::{compile_parallel, ParallelPlan};
 use volcano_exec::ops::{
-    aggregate::CompiledAgg, Exchange, HashAggregate, HashJoin, MergeJoin, MergeSetOp, NestedLoops,
-    SetOpKind, Sort, StreamAggregate,
+    aggregate::CompiledAgg, HashAggregate, HashJoin, MergeJoin, MergeSetOp, NestedLoops, SetOpKind,
+    Sort, StreamAggregate,
 };
-use volcano_exec::Operator;
+use volcano_exec::{
+    collect_batches, Batch, BatchConfig, BatchOperator, Database, Operator, ParallelGather,
+};
 use volcano_rel::value::Tuple;
-use volcano_rel::Value;
+use volcano_rel::{Catalog, ColumnDef, QueryBuilder, RelModel, RelOptimizer, RelProps, Value};
 
 /// A restartable in-memory source.
 struct Rows {
@@ -202,24 +208,58 @@ fn merge_set_ops_on_sorted_streams() {
     assert_eq!(collect(&mut d), ints(vec![vec![1], vec![5]]));
 }
 
+/// A gather of `degree` workers emitting `batch_size`-row batches over a
+/// full scan of a generated one-column table of `rows` rows, and the
+/// parallel plan it shares with its workers.
+fn parallel_scan(
+    rows: f64,
+    degree: usize,
+    batch_size: usize,
+) -> (ParallelGather, Arc<ParallelPlan>) {
+    let mut c = Catalog::new();
+    c.add_table("t", rows, vec![ColumnDef::int("x", rows)]);
+    let db = Database::in_memory(c.clone());
+    db.generate(7);
+    let model = RelModel::with_defaults(c);
+    let mut opt = RelOptimizer::new(&model, SearchOptions::default());
+    let root = opt.insert_tree(&QueryBuilder::new(model.catalog()).scan("t"));
+    let scan = opt.find_best_plan(root, RelProps::any(), None).unwrap();
+    let plan = Arc::new(compile_parallel(&db.snapshot(), &scan).expect("scans run in parallel"));
+    let cfg = BatchConfig::with_batch_size(batch_size);
+    (ParallelGather::new(plan.clone(), degree, cfg), plan)
+}
+
 #[test]
-fn exchange_is_transparent_and_reusable() {
-    let rows: Vec<Vec<i64>> = (0..1000).map(|i| vec![i]).collect();
-    let mut ex = Exchange::new(Rows::new(rows.clone()), 8);
-    let out1 = collect(&mut ex);
+fn parallel_gather_is_transparent_and_reusable() {
+    let (mut gather, _) = parallel_scan(1000.0, 4, 8);
+    let mut out1 = collect_batches(&mut gather);
     assert_eq!(out1.len(), 1000);
-    // Re-open after close: the child was returned by the thread.
-    let out2 = collect(&mut ex);
+    // Re-open after close: a fresh worker pool yields the same multiset.
+    let mut out2 = collect_batches(&mut gather);
+    out1.sort();
+    out2.sort();
     assert_eq!(out1, out2);
 }
 
 #[test]
-fn exchange_early_close_does_not_hang() {
-    let rows: Vec<Vec<i64>> = (0..100_000).map(|i| vec![i]).collect();
-    let mut ex = Exchange::new(Rows::new(rows), 4);
-    ex.open();
-    let first = ex.next().unwrap();
-    assert_eq!(first[0], Value::Int(0));
-    // Close while the producer is still running: must unblock and join.
-    ex.close();
+fn parallel_gather_early_close_joins_blocked_workers() {
+    let degree = 2;
+    let (mut gather, plan) = parallel_scan(100_000.0, degree, 4);
+    gather.open();
+    let mut batch = Batch::default();
+    assert!(gather.next_batch(&mut batch));
+    assert_eq!(batch.live_rows(), 4);
+    // Wait until every worker holds a morsel. A morsel is hundreds of
+    // 4-row batches and the bounded channel holds 2 batches per worker,
+    // so no worker can finish one: each runs until it blocks on a send,
+    // holding its plan handle.
+    while gather.stats().dispatched() < degree as u64 {
+        std::thread::yield_now();
+    }
+    assert_eq!(Arc::strong_count(&plan), 2 + degree, "workers are alive");
+    assert_eq!(gather.stats().dispatched(), degree as u64, "no morsel done");
+    // Close while the producers are still running: must unblock and
+    // join them all before returning.
+    gather.close();
+    assert_eq!(Arc::strong_count(&plan), 2, "every worker was joined");
 }

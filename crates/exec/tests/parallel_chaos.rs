@@ -22,7 +22,8 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use common::testkit::{assert_same_multiset, sorted_copy, sql_cases, DiffCase};
-use volcano_exec::{BatchConfig, Database};
+use volcano_bench::run_plan;
+use volcano_exec::{BatchConfig, Database, Engine, ExecOptions, Query};
 use volcano_rel::value::Tuple;
 use volcano_rel::{RelAlg, RelModelOptions, RelPlan, Value};
 
@@ -58,13 +59,13 @@ fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
 fn injected_worker_panic_fails_cleanly_and_poisons_nothing() {
     for case in gather_cases() {
         let DiffCase { db, plan, tag } = &case;
-        let expected = db.execute(plan);
+        let expected = run_plan(db, plan, Engine::Tuple);
         // Several injection points: the very first morsel (dies during
         // a build pipeline if the gather has one), and later ones (dies
         // mid-probe / mid-scan).
         for fail_at in [1u64, 2, 5] {
             let cfg = BatchConfig::default().with_fail_morsel(fail_at);
-            let result = catch_unwind(AssertUnwindSafe(|| db.execute_batch(plan, cfg)));
+            let result = catch_unwind(AssertUnwindSafe(|| run_plan(db, plan, Engine::Batch(cfg))));
             let payload = match result {
                 Err(p) => p,
                 Ok(rows) => {
@@ -84,14 +85,14 @@ fn injected_worker_panic_fails_cleanly_and_poisons_nothing() {
                 "{tag}: fail_at={fail_at}: unexpected panic: {msg}"
             );
             // The failure is repeatable, not a race artifact.
-            let again = catch_unwind(AssertUnwindSafe(|| db.execute_batch(plan, cfg)));
+            let again = catch_unwind(AssertUnwindSafe(|| run_plan(db, plan, Engine::Batch(cfg))));
             assert!(
                 again.is_err(),
                 "{tag}: fail_at={fail_at}: injection did not reproduce"
             );
             // And the database is unharmed: the next clean run over the
             // same buffer pool and heap files is complete and correct.
-            let rows = db.execute_batch(plan, BatchConfig::default());
+            let rows = run_plan(db, plan, Engine::Batch(BatchConfig::default()));
             assert_same_multiset(&expected, &rows, &format!("{tag}: after fail_at={fail_at}"));
         }
     }
@@ -103,9 +104,9 @@ fn injected_worker_panic_fails_cleanly_and_poisons_nothing() {
 fn unreached_injection_is_inert() {
     for case in gather_cases() {
         let DiffCase { db, plan, tag } = &case;
-        let expected = db.execute(plan);
+        let expected = run_plan(db, plan, Engine::Tuple);
         let cfg = BatchConfig::default().with_fail_morsel(u64::MAX);
-        let rows = db.execute_batch(plan, cfg);
+        let rows = run_plan(db, plan, Engine::Batch(cfg));
         assert_same_multiset(&expected, &rows, &format!("{tag}: fail_at=MAX"));
     }
 }
@@ -126,7 +127,7 @@ fn concurrent_parallel_executions_reconcile_under_epoch_chaos() {
     let db = Database::in_memory(common::testkit::diff_catalog());
     db.generate(23);
     db.set_parallel_degree(4);
-    let cfg = BatchConfig::default();
+    let opts = ExecOptions::new().with_executor(Engine::Batch(BatchConfig::default()));
     let stmts: Vec<_> = SHAPES
         .iter()
         .map(|s| db.prepare(s).expect("prepare"))
@@ -143,8 +144,9 @@ fn concurrent_parallel_executions_reconcile_under_epoch_chaos() {
         for p in &param_space {
             let params: Vec<Value> = (0..stmt.param_count()).map(|_| Value::Int(*p)).collect();
             let rows = db
-                .execute_prepared(stmt, &params, Some(cfg))
-                .expect("golden run");
+                .run(Query::Prepared(stmt, &params), &opts, None)
+                .expect("golden run")
+                .rows;
             per_param.push(sorted_copy(&rows));
         }
         golden.push(per_param);
@@ -162,6 +164,7 @@ fn concurrent_parallel_executions_reconcile_under_epoch_chaos() {
             let golden = &golden;
             let param_space = &param_space;
             let executions = &executions;
+            let opts = &opts;
             scope.spawn(move || {
                 for i in 0..ITERS_PER_THREAD {
                     let s = (i * 7 + t * 3) % stmts.len();
@@ -171,8 +174,9 @@ fn concurrent_parallel_executions_reconcile_under_epoch_chaos() {
                         .map(|_| Value::Int(param_space[p]))
                         .collect();
                     let rows = db
-                        .execute_prepared(stmt, &params, Some(cfg))
-                        .expect("concurrent parallel execution");
+                        .run(Query::Prepared(stmt, &params), opts, None)
+                        .expect("concurrent parallel execution")
+                        .rows;
                     assert_eq!(
                         sorted_copy(&rows),
                         golden[s][p],

@@ -19,7 +19,8 @@ mod common;
 use common::testkit::{
     assert_same_multiset, fig4_inputs, morsel_sizes, optimize_plan, sql_cases, thread_counts,
 };
-use volcano_exec::{schema_of, BatchConfig, Database};
+use volcano_bench::run_plan;
+use volcano_exec::{schema_of, BatchConfig, Database, Engine};
 use volcano_rel::value::Tuple;
 use volcano_rel::{RelModel, RelModelOptions, RelPlan};
 
@@ -42,7 +43,7 @@ fn assert_sorted_on(rows: &[Tuple], key_positions: &[usize], tag: &str) {
 fn assert_parallel_agrees(db: &Database, plan: &RelPlan, tag: &str, degree: u32) {
     // The tuple engine executes a gather as a serial pass-through, so
     // the same (possibly parallel) plan serves as its own oracle.
-    let tuple_rows = db.execute(plan);
+    let tuple_rows = run_plan(db, plan, Engine::Tuple);
     let key_positions: Vec<usize> = {
         let schema = schema_of(db, plan);
         plan.delivered
@@ -68,7 +69,7 @@ fn assert_parallel_agrees(db: &Database, plan: &RelPlan, tag: &str, degree: u32)
             Some(pages) => BatchConfig::default().with_morsel_pages(pages),
             None => BatchConfig::default(),
         };
-        let rows = db.execute_batch(plan, cfg);
+        let rows = run_plan(db, plan, Engine::Batch(cfg));
         let mtag = format!("{tag}: deg={degree} morsel={morsel:?}");
         assert_same_multiset(&tuple_rows, &rows, &mtag);
         if !key_positions.is_empty() {
@@ -182,7 +183,7 @@ fn hash_join_partition_merge_runs_in_parallel() {
         if !join_under_gather(&case.plan, false) {
             continue;
         }
-        let oracle = case.db.execute(&case.plan);
+        let oracle = run_plan(&case.db, &case.plan, Engine::Tuple);
         let compiled = compile_batch(&case.db, &case.plan, BatchConfig::default());
         let mut op = compiled.operator;
         let rows = collect_batches(op.as_mut());

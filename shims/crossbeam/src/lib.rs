@@ -2,7 +2,7 @@
 //!
 //! Only `crossbeam::channel::bounded` is provided, backed by
 //! `std::sync::mpsc::sync_channel`, which has the same blocking-send /
-//! disconnect semantics the exchange operator relies on.
+//! disconnect semantics the morsel-parallel gather relies on.
 
 #![warn(missing_docs)]
 

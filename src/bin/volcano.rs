@@ -24,7 +24,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use volcano::core::{SearchBudget, SearchOptions};
-use volcano::exec::{BatchConfig, Database, Engine, Server, ServerConfig, Session, TrafficClass};
+use volcano::exec::{
+    BatchConfig, Database, Engine, ExecOptions, Query, Server, ServerConfig, Session, TrafficClass,
+};
 use volcano::rel::catalog::ColType;
 use volcano::rel::{
     explain_expr, explain_plan, Catalog, ColumnDef, RelModel, RelModelOptions, RelOptimizer,
@@ -256,36 +258,27 @@ impl Shell {
                     opt.stats().outcome
                 );
                 if analyze {
-                    let stats_json = opt.stats().to_json();
-                    let executor = self.executor;
                     let db = self.db();
-                    // The fused engine has no per-plan-node seams to
-                    // instrument: report per-pipeline metrics instead of
-                    // the per-operator table.
-                    if let Engine::Fused(cfg) = executor {
-                        let analyzed = volcano::exec::execute_analyzed_fused(&db, &plan, cfg);
-                        println!("-- analyze ({} result rows) --", analyzed.rows.len());
-                        for line in analyzed.report.lines() {
-                            println!("{line}");
-                        }
-                        return Ok(());
-                    }
-                    let analyzed = match executor {
-                        Engine::Batch(cfg) => {
-                            volcano::exec::execute_analyzed_batch(&db, &catalog, &plan, cfg)
-                        }
-                        _ => volcano::exec::execute_analyzed(&db, &catalog, &plan),
-                    };
-                    println!("-- analyze ({} result rows) --", analyzed.rows.len());
-                    print!("{}", analyzed.report());
-                    // Machine-readable export: per-operator measurements
-                    // plus the search and plan-cache statistics, one JSON
-                    // object.
+                    let opts = ExecOptions::new()
+                        .with_executor(self.executor)
+                        .with_analyze(true);
+                    // The analysis names operators and estimates rows
+                    // with the planning catalog: lowering may allocate
+                    // attributes (aggregate outputs) only it holds.
+                    let out = db
+                        .run(Query::Plan(&plan, Some(&catalog)), &opts, None)
+                        .map_err(|e| e.to_string())?;
+                    let analysis = out.analysis.expect("analyzed runs carry an analysis");
+                    println!("-- analyze ({} result rows) --", out.rows.len());
+                    print!("{}", analysis.report());
+                    // Machine-readable export: per-operator (or fused
+                    // per-pipeline) measurements plus the search and
+                    // plan-cache statistics, one JSON object.
                     println!("-- json --");
                     println!(
                         "{{\"analyze\":{},\"search\":{},\"plan_cache\":{},\"feedback\":{}}}",
-                        analyzed.to_json(),
-                        stats_json,
+                        analysis.to_json(out.rows.len()),
+                        opt.stats().to_json(),
                         db.plan_cache().stats().to_json(),
                         db.feedback_stats().to_json()
                     );
@@ -319,11 +312,11 @@ impl Shell {
                         opt.stats().outcome
                     );
                 }
-                let rows = match executor {
-                    Engine::Tuple => db.execute(&plan),
-                    Engine::Batch(cfg) => db.execute_batch(&plan, cfg),
-                    Engine::Fused(cfg) => db.execute_fused(&plan, cfg),
-                };
+                let opts = ExecOptions::new().with_executor(executor);
+                let rows = db
+                    .run(Query::Plan(&plan, Some(&catalog)), &opts, None)
+                    .map_err(|e| e.to_string())?
+                    .rows;
                 for row in &rows {
                     let cells: Vec<String> = row.iter().map(|v| v.to_string()).collect();
                     println!("{}", cells.join(" | "));

@@ -95,11 +95,17 @@ fn explain_analyze_reports_actual_rows() {
     let (stdout, stderr, ok) = run_script(
         "CREATE TABLE t (x INT DISTINCT 10) CARD 100;\
          GENERATE SEED 4;\
+         EXPLAIN ANALYZE SELECT * FROM t WHERE x < 5;\
+         SET EXECUTOR BATCH 64;\
+         EXPLAIN ANALYZE SELECT * FROM t WHERE x < 5;\
+         SET EXECUTOR FUSED 64;\
          EXPLAIN ANALYZE SELECT * FROM t WHERE x < 5;",
     );
     assert!(ok, "{stderr}");
-    assert!(stdout.contains("-- analyze"), "{stdout}");
     assert!(stdout.contains("actual"), "{stdout}");
+    // Every engine reports its measurements and the JSON export.
+    assert_eq!(stdout.matches("-- analyze").count(), 3, "{stdout}");
+    assert_eq!(stdout.matches("-- json --").count(), 3, "{stdout}");
 }
 
 #[test]
